@@ -15,9 +15,15 @@
 ///      three versions, all bit-exact for the design their version tag
 ///      names, and swapping one model never moves the other's version;
 ///   4. the server's own counters balance exactly — the batch histogram
-///      accounts for every response, per-reactor admissions sum to
-///      requests_total, and per-model response counts (plus predict
-///      errors) sum to responses_total.
+///      accounts for every response, the departure-rule counters sum to
+///      batches_total, per-reactor admissions sum to requests_total, and
+///      per-model response counts (plus predict errors) sum to
+///      responses_total.
+///
+/// One latency gate rides along outside sanitizer builds: at 2k rps a
+/// lone request must not wait out the batch deadline, so the 1-reactor
+/// 2k-rps p50 must sit below `batch_deadline_us` (the batcher departs at
+/// once when no batch is in flight; the deadline only caps coalescing).
 ///
 /// What it records: client-side exact p50/p99/mean latency per offered
 /// rate (1-reactor ladder, `serve_latency` rows) and aggregate two-model
@@ -230,6 +236,12 @@ int main() {
         row.requests = report.sent;
         row.received = report.received;
         latency_rows.push_back(row);
+        if (slow == 1 && base_rate == 2000.0 &&
+            report.p50_us >= static_cast<double>(config.batch_deadline_us)) {
+          return fail(cell + "2k rps p50 " + std::to_string(report.p50_us) +
+                      "us is not below the " + std::to_string(config.batch_deadline_us) +
+                      "us batch deadline: lone requests are waiting it out");
+        }
         std::cout << cell << "rate " << rate << " rps: achieved "
                   << report.achieved_rps << " rps, p50 " << report.p50_us
                   << "us, p99 " << report.p99_us << "us (" << report.received
@@ -319,6 +331,11 @@ int main() {
     if (hist_batches != stats.batches_total || hist_responses != stats.responses_total) {
       return fail(cell + "batch histogram does not account for every response");
     }
+    if (stats.batches_departed_idle + stats.batches_departed_full +
+            stats.batches_departed_deadline + stats.batches_departed_drain !=
+        stats.batches_total) {
+      return fail(cell + "departure-rule counters do not sum to batches_total");
+    }
     if (stats.requests_by_reactor.size() != reactors) {
       return fail(cell + "requests_by_reactor has wrong width");
     }
@@ -336,7 +353,9 @@ int main() {
       return fail(cell + "server reported errors during a clean run");
     }
     std::cout << cell << "server accounting: " << stats.responses_total
-              << " responses in " << stats.batches_total << " batches, mean batch "
+              << " responses in " << stats.batches_total << " batches (departed idle "
+              << stats.batches_departed_idle << ", full " << stats.batches_departed_full
+              << ", deadline " << stats.batches_departed_deadline << "), mean batch "
               << stats.mean_batch_size() << ", admissions by reactor sum "
               << by_reactor << "\n";
 

@@ -12,7 +12,11 @@
 ///   by --swap-file, or re-loads the default model when it is omitted).
 ///   --model repeats: a plain path is the default model, NAME=FILE
 ///   registers an additional named model (protocol-v2 clients route by
-///   name).  --reactors N runs N SO_REUSEPORT accept+IO loops on the port:
+///   name).  --reactors N runs N SO_REUSEPORT accept+IO loops on the port.
+///   A batch departs at once when no other batch is in flight;
+///   --batch-deadline-us only caps how long a batch may coalesce behind
+///   an in-flight one (counted from its oldest request), so a lone
+///   request never waits it out:
 ///     serve_main --model model_a.pnm [--model beta=model_b.pnm]
 ///                --port 9000 [--reactors 2] [--batch-max 32]
 ///                [--batch-deadline-us 200] [--threads 2]
@@ -258,7 +262,8 @@ int run_serve(const Args& args) {
   server.start();
   std::cout << "serving on port " << server.port() << " (" << config.reactors
             << " reactors, " << config.worker_threads << " workers, batch<="
-            << config.batch_max << ", " << config.batch_deadline_us << "us deadline)\n";
+            << config.batch_max << ", coalescing capped at " << config.batch_deadline_us
+            << "us)\n";
   for (const pnm::serve::ModelStats& m : registry->stats()) {
     std::cout << "  model " << m.name << ": " << m.path << '\n';
   }

@@ -1,5 +1,6 @@
 #include "pnm/serve/batcher.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace pnm::serve {
@@ -41,6 +42,7 @@ Batcher::Batcher(std::size_t batch_max, std::int64_t deadline_us)
 
 void Batcher::push(ServeRequest* r) {
   r->admitted = std::chrono::steady_clock::now();
+  std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (size_locked() == ring_.size()) {
@@ -54,8 +56,13 @@ void Batcher::push(ServeRequest* r) {
     }
     ring_[tail_ & (ring_.size() - 1)] = r;
     ++tail_;
+    depth = size_locked();
   }
-  cv_.notify_one();
+  // Only two depths change what a waiting worker would do: the first
+  // request (an idle worker can take it) and a full batch (a coalescing
+  // worker can depart).  Every other push would be a wasted wakeup on a
+  // CPU the IO thread needs.
+  if (depth == 1 || depth == batch_max_) cv_.notify_one();
 }
 
 ServeRequest* Batcher::pop_front_locked() {
@@ -64,30 +71,56 @@ ServeRequest* Batcher::pop_front_locked() {
   return r;
 }
 
-bool Batcher::pop_batch(std::vector<ServeRequest*>& out) {
+bool Batcher::pop_batch(std::vector<ServeRequest*>& out, Departure* why) {
   out.clear();
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     cv_.wait(lock, [this] { return size_locked() > 0 || shutdown_; });
     if (size_locked() == 0) return false;  // shutdown drain finished
 
-    // Coalesce: the oldest queued request anchors the departure deadline.
-    const auto depart_at = ring_[head_ & (ring_.size() - 1)]->admitted + deadline_;
-    while (size_locked() > 0 && size_locked() < batch_max_ && !shutdown_) {
-      if (cv_.wait_until(lock, depart_at) == std::cv_status::timeout) break;
+    // Coalesce only while another batch keeps the pipeline busy; the
+    // oldest queued request anchors the cap.
+    Departure rule = Departure::kIdle;
+    while (size_locked() > 0) {
+      const auto depart_at = ring_[head_ & (ring_.size() - 1)]->admitted + deadline_;
+      if (size_locked() >= batch_max_) {
+        rule = Departure::kFull;
+      } else if (in_flight_ == 0) {
+        rule = Departure::kIdle;
+      } else if (shutdown_) {
+        rule = Departure::kDrain;
+      } else if (std::chrono::steady_clock::now() >= depart_at) {
+        rule = Departure::kDeadline;
+      } else {
+        cv_.wait_until(lock, depart_at);
+        continue;
+      }
+      break;
     }
     // Another worker may have taken everything while this one coalesced;
     // in that case go back to waiting rather than hand out an empty batch.
     if (size_locked() == 0) continue;
     const std::size_t take = std::min(batch_max_, size_locked());
     for (std::size_t i = 0; i < take; ++i) out.push_back(pop_front_locked());
+    ++in_flight_;
+    const bool more = size_locked() > 0;
     lock.unlock();
-    // More work may remain (e.g. the queue outgrew one batch); hand the
-    // next batch to another worker immediately instead of after its own
-    // deadline wait.
-    cv_.notify_one();
+    // The queue outgrew one batch: hand the rest to another worker, which
+    // coalesces behind this batch.
+    if (more) cv_.notify_one();
+    if (why != nullptr) *why = rule;
     return true;
   }
+}
+
+void Batcher::finish_batch() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (in_flight_ > 0) --in_flight_;
+  }
+  // The coalescing worker must hear this one; a worker waiting for a
+  // first request re-checks and sleeps again.
+  cv_.notify_all();
 }
 
 void Batcher::shutdown() {

@@ -2,23 +2,32 @@
 #define PNM_SERVE_BATCHER_HPP
 
 /// \file batcher.hpp
-/// \brief Admission queue with micro-batch coalescing + the request pool.
+/// \brief Admission queue with work-conserving micro-batching + the
+///        request pool.
 ///
-/// The serving model is classic micro-batching: the IO thread admits
-/// decoded requests into one queue; worker threads drain it in batches
-/// bounded two ways —
+/// The IO threads admit decoded requests into one queue; worker threads
+/// drain it in batches.  The departure rule is work-conserving: batching
+/// exists to amortize the pipeline while it is busy, never to make an
+/// idle pipeline wait.
 ///
-///   * size: a batch never exceeds `batch_max` requests;
-///   * deadline: once a batch has at least one request, it departs no
-///     later than `deadline_us` after the *oldest* member was admitted.
+///   * idle: when no other batch is in flight (popped but not yet
+///     finished, see finish_batch), a popped batch departs at once with
+///     whatever is queued;
+///   * coalescing: while a batch is in flight, the next one gathers
+///     behind it and departs when the in-flight batch finishes (counted
+///     as idle), when it holds `batch_max` requests (full), or when its
+///     oldest member was admitted `deadline_us` ago (deadline) — the
+///     deadline caps coalescing under load, it is never a wait a lone
+///     request has to sit out;
+///   * drain: after shutdown() a coalescing batch departs at once.
 ///
-/// Under light load a lone request therefore waits at most one deadline
-/// (bounded tail latency); under heavy load batches fill instantly and
-/// the deadline never engages (maximum throughput).  The queue is a
-/// growable ring buffer of request pointers and the requests themselves
-/// are pooled and recycled, so steady-state admission performs zero
-/// allocations — the only allocations happen while the pool or ring is
-/// still growing toward the peak in-flight count.
+/// A batch never exceeds `batch_max` requests.  Under light load a lone
+/// request therefore departs as soon as a worker picks it up; under load,
+/// requests gather while the previous batch computes and is written.  The
+/// queue is a growable ring buffer of request pointers and the requests
+/// themselves are pooled and recycled, so steady-state admission performs
+/// zero allocations — the only allocations happen while the pool or ring
+/// is still growing toward the peak in-flight count.
 
 #include <chrono>
 #include <condition_variable>
@@ -27,6 +36,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "pnm/serve/metrics.hpp"
 
 namespace pnm::serve {
 
@@ -74,26 +85,36 @@ class RequestPool {
 };
 
 /// The admission queue.  push() never blocks (the ring grows); pop_batch()
-/// blocks until it can hand out a batch or the batcher is shut down.
+/// blocks until it can hand out a batch or the batcher is shut down; every
+/// batch pop_batch hands out is in flight until its consumer calls
+/// finish_batch().
 class Batcher {
  public:
   /// \param batch_max    hard cap on one batch's request count (>= 1).
-  /// \param deadline_us  max time a nonempty batch may wait for more
-  ///                     requests, counted from its oldest member's
-  ///                     admission (0 = depart immediately).
+  /// \param deadline_us  cap on how long a batch may coalesce behind an
+  ///                     in-flight batch, counted from its oldest member's
+  ///                     admission (0 = never coalesce).
   Batcher(std::size_t batch_max, std::int64_t deadline_us);
 
   /// Admits one request (stamps `r->admitted`).
   void push(ServeRequest* r);
 
   /// Blocks for the next micro-batch: waits for a first request, then
-  /// keeps coalescing until the batch is full or the oldest member's
-  /// deadline expires.  `out` is cleared and filled (capacity reused).
+  /// departs at once if no batch is in flight, else coalesces until the
+  /// in-flight batches finish, the batch is full, the oldest member's
+  /// deadline passes, or shutdown.  `out` is cleared and filled (capacity
+  /// reused).  On success the batch counts as in flight until the caller
+  /// calls finish_batch().
   ///
   /// \param out  receives up to batch_max requests, admission order.
+  /// \param why  when non-null, receives the rule that let the batch go.
   /// \return false when the batcher was shut down and the queue is empty
   ///         (workers exit); true otherwise (out is nonempty).
-  bool pop_batch(std::vector<ServeRequest*>& out);
+  bool pop_batch(std::vector<ServeRequest*>& out, Departure* why = nullptr);
+
+  /// Marks one batch handed out by pop_batch as done; a batch coalescing
+  /// behind it departs when no other batch is left in flight.
+  void finish_batch();
 
   /// Wakes every waiting worker; subsequent pop_batch calls drain the
   /// remaining queue and then return false.
@@ -115,6 +136,7 @@ class Batcher {
   std::vector<ServeRequest*> ring_;
   std::size_t head_ = 0;  ///< absolute index of the oldest element
   std::size_t tail_ = 0;  ///< absolute index one past the newest
+  std::size_t in_flight_ = 0;  ///< popped batches not yet finished
   bool shutdown_ = false;
 };
 

@@ -64,6 +64,10 @@ std::string MetricsSnapshot::to_json() const {
   out << "  \"requests_total\": " << requests_total << ",\n";
   out << "  \"responses_total\": " << responses_total << ",\n";
   out << "  \"batches_total\": " << batches_total << ",\n";
+  out << "  \"batches_departed_idle\": " << batches_departed_idle << ",\n";
+  out << "  \"batches_departed_full\": " << batches_departed_full << ",\n";
+  out << "  \"batches_departed_deadline\": " << batches_departed_deadline << ",\n";
+  out << "  \"batches_departed_drain\": " << batches_departed_drain << ",\n";
   out << "  \"queue_depth\": " << queue_depth << ",\n";
   out << "  \"protocol_errors\": " << protocol_errors << ",\n";
   out << "  \"oversized_rejected\": " << oversized_rejected << ",\n";
@@ -108,8 +112,9 @@ ServeMetrics::ServeMetrics(std::size_t batch_max, std::size_t reactors)
   for (auto& r : requests_by_reactor_) r.store(0, std::memory_order_relaxed);
 }
 
-void ServeMetrics::on_batch(std::size_t batch_size) {
+void ServeMetrics::on_batch(std::size_t batch_size, Departure why) {
   batches_total_.fetch_add(1, std::memory_order_relaxed);
+  batches_departed_[static_cast<std::size_t>(why)].fetch_add(1, std::memory_order_relaxed);
   const std::size_t idx = std::min(batch_size, batch_size_hist_.size() - 1);
   batch_size_hist_[idx].fetch_add(1, std::memory_order_relaxed);
 }
@@ -127,6 +132,13 @@ MetricsSnapshot ServeMetrics::snapshot(std::uint64_t queue_depth, std::uint32_t 
   s.requests_total = requests_total_.load(std::memory_order_relaxed);
   s.responses_total = responses_total_.load(std::memory_order_relaxed);
   s.batches_total = batches_total_.load(std::memory_order_relaxed);
+  const auto departed = [&](Departure why) {
+    return batches_departed_[static_cast<std::size_t>(why)].load(std::memory_order_relaxed);
+  };
+  s.batches_departed_idle = departed(Departure::kIdle);
+  s.batches_departed_full = departed(Departure::kFull);
+  s.batches_departed_deadline = departed(Departure::kDeadline);
+  s.batches_departed_drain = departed(Departure::kDrain);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.oversized_rejected = oversized_rejected_.load(std::memory_order_relaxed);
   s.truncated_frames = truncated_frames_.load(std::memory_order_relaxed);

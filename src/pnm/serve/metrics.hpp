@@ -24,6 +24,14 @@ namespace pnm::serve {
 /// Log-scale histogram: bucket index = 4*floor(log2 v) + next-2-bits.
 constexpr std::size_t kLatencyBuckets = 256;
 
+/// Why a micro-batch left the admission queue (see serve/batcher.hpp).
+enum class Departure : std::uint8_t {
+  kIdle,      ///< no other batch in flight (at pop time, or it finished)
+  kFull,      ///< reached batch_max
+  kDeadline,  ///< oldest member's coalescing cap passed
+  kDrain,     ///< shutdown cut coalescing short
+};
+
 /// Per-model counters for one registry entry (see ModelRegistry::stats).
 /// Lives here so the snapshot/JSON layer does not depend on the registry.
 struct ModelStats {
@@ -42,6 +50,11 @@ struct MetricsSnapshot {
   std::uint64_t requests_total = 0;
   std::uint64_t responses_total = 0;
   std::uint64_t batches_total = 0;
+  /// Per-rule departure counts; they sum to batches_total.
+  std::uint64_t batches_departed_idle = 0;
+  std::uint64_t batches_departed_full = 0;
+  std::uint64_t batches_departed_deadline = 0;
+  std::uint64_t batches_departed_drain = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t oversized_rejected = 0;
   std::uint64_t truncated_frames = 0;
@@ -91,7 +104,11 @@ class ServeMetrics {
   void on_protocol_error() { protocol_errors_.fetch_add(1, std::memory_order_relaxed); }
   void on_oversized() { oversized_rejected_.fetch_add(1, std::memory_order_relaxed); }
   void on_truncated_frame() { truncated_frames_.fetch_add(1, std::memory_order_relaxed); }
-  void on_dropped_response() { dropped_responses_.fetch_add(1, std::memory_order_relaxed); }
+  /// Counts `n` responses whose write failed (one per frame of a failed
+  /// flush).
+  void on_dropped_response(std::uint64_t n = 1) {
+    dropped_responses_.fetch_add(n, std::memory_order_relaxed);
+  }
   void on_predict_error() { predict_errors_.fetch_add(1, std::memory_order_relaxed); }
   /// Counts a v2 request rejected at admission for naming no registered
   /// model.  Deliberately NOT part of requests_total: the request never
@@ -102,8 +119,8 @@ class ServeMetrics {
     (ok ? swaps_ok_ : swaps_failed_).fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Records one completed batch of `batch_size` responses.
-  void on_batch(std::size_t batch_size);
+  /// Records one batch of `batch_size` responses that departed by `why`.
+  void on_batch(std::size_t batch_size, Departure why);
 
   /// Records one served response with its end-to-end latency (admission
   /// to response encode; callers count just before the socket write so a
@@ -130,6 +147,7 @@ class ServeMetrics {
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> responses_total_{0};
   std::atomic<std::uint64_t> batches_total_{0};
+  std::array<std::atomic<std::uint64_t>, 4> batches_departed_{};  ///< by Departure
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> oversized_rejected_{0};
   std::atomic<std::uint64_t> truncated_frames_{0};

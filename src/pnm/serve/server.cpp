@@ -18,12 +18,12 @@
 namespace pnm::serve {
 
 /// Per-socket connection state.  The owning reactor holds the read side
-/// exclusively; the write side is shared between workers (responses) and
-/// that reactor (admin/error replies) under `write_mu`.  The fd stays
-/// open until the last shared_ptr drops, so a worker finishing a batch
-/// after the reactor saw the hangup writes into a dead-but-valid
-/// socket (EPIPE, counted as a dropped response) — never into a recycled
-/// descriptor.
+/// exclusively; the write side is shared between workers (one flush of a
+/// batch's frames each) and that reactor (admin/error replies) under
+/// `write_mu`.  The fd stays open until the last shared_ptr drops, so a
+/// worker finishing a batch after the reactor saw the hangup writes into
+/// a dead-but-valid socket (EPIPE, one dropped response per frame of the
+/// flush) — never into a recycled descriptor.
 class Connection {
  public:
   Connection(int fd, std::size_t max_frame_bytes) : fd_(fd), reader_(max_frame_bytes) {}
@@ -40,7 +40,8 @@ class Connection {
   void mark_closed() { closed_.store(true, std::memory_order_release); }
   [[nodiscard]] bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  /// Serialized whole-frame write; false when the peer is gone.  The
+  /// Serialized write of one or more whole frames (never interleaved with
+  /// another writer's); false when the peer is gone.  The
   /// stall cap is tighter than send_all's default: with several reactors
   /// feeding one worker pool, a single peer that stops reading must not
   /// park a worker for multiple seconds.
@@ -402,17 +403,48 @@ void Server::worker_loop() {
   constexpr std::size_t kMinBlockLanes = 4;
   constexpr std::size_t kB = simd::kSampleBlock;
 
+  /// One connection's frames from the current batch, flushed with a single
+  /// write once the batch is computed.
+  struct Outbox {
+    std::shared_ptr<Connection> conn;
+    std::vector<std::uint8_t> bytes;  ///< capacity reused across batches
+    std::uint64_t frames = 0;
+  };
+  std::vector<Outbox> outboxes;  // [0, open) hold the current batch
+  std::size_t open = 0;
+
   std::vector<ServeRequest*> batch;
   std::vector<ServeRequest*> ready;  // one route's requests awaiting predict
-  std::vector<std::uint8_t> frame;
   std::string route;  // current route's model name (reused capacity)
   InferScratch scratch;
   BlockScratch block_scratch;
   std::size_t preds[kB];
   const simd::Isa isa = simd::active_isa();
+  Departure why = Departure::kIdle;
 
-  while (batcher_.pop_batch(batch)) {
-    metrics_.on_batch(batch.size());
+  // Returns the outbox of r's connection, opening one on its first frame
+  // in this batch, and counts the frame about to be appended as a response
+  // (count-before-write: once a client has seen every response, every
+  // response is in the counters, so a quiescent stats() snapshot always
+  // balances against the batch histogram).  The outbox holds the
+  // connection until the flush, so r can go back to the pool at once.
+  const auto outbox = [&](ServeRequest* r) -> std::vector<std::uint8_t>& {
+    metrics_.on_response(elapsed_us(r->admitted));
+    std::size_t k = 0;
+    while (k < open && outboxes[k].conn != r->conn) ++k;
+    if (k == open) {
+      if (open == outboxes.size()) outboxes.emplace_back();
+      outboxes[k].conn = r->conn;
+      outboxes[k].bytes.clear();
+      outboxes[k].frames = 0;
+      ++open;
+    }
+    ++outboxes[k].frames;
+    return outboxes[k].bytes;
+  };
+
+  while (batcher_.pop_batch(batch, &why)) {
+    metrics_.on_batch(batch.size(), why);
     // Route the batch: one pass per distinct model name.  Mixed batches
     // are rare (one model dominates any given deployment) and the claim
     // sweep is a pointer scan, so this costs nothing in the common
@@ -442,12 +474,7 @@ void Server::worker_loop() {
         // accounting identities intact if that ever changes.
         for (ServeRequest* r : ready) {
           metrics_.on_predict_error();
-          frame.clear();
-          encode_error_v2(frame, ErrorCode::kUnknownModel, "unknown model: " + route);
-          metrics_.on_response(elapsed_us(r->admitted));
-          if (r->conn == nullptr || !r->conn->write_frame(frame)) {
-            metrics_.on_dropped_response();
-          }
+          encode_error_v2(outbox(r), ErrorCode::kUnknownModel, "unknown model: " + route);
           pool_.release(r);
         }
         continue;
@@ -456,15 +483,7 @@ void Server::worker_loop() {
       const int input_bits = model->mlp.input_bits();
 
       const auto respond = [&](ServeRequest* r, std::size_t cls) {
-        frame.clear();
-        encode_predict_resp(frame, r->id, model->version, static_cast<std::uint32_t>(cls));
-        // Count before writing: once a client has seen every response, every
-        // response is in the counters, so a quiescent stats() snapshot always
-        // balances against the batch histogram (on_batch runs at batch start).
-        metrics_.on_response(elapsed_us(r->admitted));
-        if (r->conn == nullptr || !r->conn->write_frame(frame)) {
-          metrics_.on_dropped_response();
-        }
+        encode_predict_resp(outbox(r), r->id, model->version, static_cast<std::uint32_t>(cls));
         pool_.release(r);
       };
 
@@ -472,15 +491,10 @@ void Server::worker_loop() {
       for (ServeRequest* r : ready) {
         if (r->features.size() != want) {
           metrics_.on_predict_error();
-          frame.clear();
           if (r->v2) {
-            encode_error_v2(frame, ErrorCode::kWidthMismatch, "feature count mismatch");
+            encode_error_v2(outbox(r), ErrorCode::kWidthMismatch, "feature count mismatch");
           } else {
-            encode_error(frame, "feature count mismatch");
-          }
-          metrics_.on_response(elapsed_us(r->admitted));  // count-before-write
-          if (r->conn == nullptr || !r->conn->write_frame(frame)) {
-            metrics_.on_dropped_response();
+            encode_error(outbox(r), "feature count mismatch");
           }
           pool_.release(r);
           continue;
@@ -529,6 +543,18 @@ void Server::worker_loop() {
         }
       }
     }
+
+    // One write per connection per batch.  A failed flush drops every
+    // frame it carried; the other connections' outboxes are unaffected.
+    for (std::size_t k = 0; k < open; ++k) {
+      Outbox& o = outboxes[k];
+      if (o.conn == nullptr || !o.conn->write_frame(o.bytes)) {
+        metrics_.on_dropped_response(o.frames);
+      }
+      o.conn.reset();  // never pin a closed socket between batches
+    }
+    open = 0;
+    batcher_.finish_batch();
   }
 }
 

@@ -37,10 +37,13 @@
 /// requests are dropped, none can be misrouted across the flip, and
 /// swapping one model can never disturb another's version sequence.
 ///
-/// Responses are written by the worker that computed them, directly to
-/// the connection (per-connection write lock); a client that disappeared
-/// mid-batch just has its responses counted as dropped — the batch, the
-/// other clients, and the server are unaffected.
+/// Responses are written by the worker that computed them: it appends
+/// each response and typed error frame of a batch to a per-connection
+/// outbox and flushes every outbox with one write (per-connection write
+/// lock) after the batch, so a burst of pipelined requests costs one
+/// syscall per connection, not one per response.  A client that
+/// disappeared mid-batch just has its outbox counted as dropped, one per
+/// frame — the batch, the other clients, and the server are unaffected.
 
 #include <atomic>
 #include <cstdint>
@@ -64,7 +67,11 @@ struct ServeConfig {
   bool loopback_only = true;         ///< bind 127.0.0.1 (tests/benches)
   std::size_t reactors = 1;          ///< accept+IO loops (SO_REUSEPORT when > 1)
   std::size_t batch_max = 32;        ///< micro-batch size bound
-  std::int64_t batch_deadline_us = 200;  ///< micro-batch age bound
+  /// Cap on how long a batch may coalesce behind an in-flight batch,
+  /// counted from its oldest member's admission.  A batch departs at once
+  /// when no other batch is in flight, so this bounds coalescing under
+  /// load and is never a wait for a lone request (see serve/batcher.hpp).
+  std::int64_t batch_deadline_us = 200;
   std::size_t worker_threads = 2;    ///< inference workers (shared by reactors)
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };

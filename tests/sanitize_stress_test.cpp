@@ -48,7 +48,9 @@ QuantizedMlp make_model(std::uint64_t seed) {
 // Producers race admission against batch drain and a mid-flight
 // shutdown; every request must come back exactly once or be drained by
 // the final pop_batch loop — the pool's created() count then proves no
-// request leaked.
+// request leaked.  Consumers hold each batch briefly before finishing it,
+// so the others coalesce behind it: TSan then judges the in-flight count,
+// the coalescing wait, and shutdown racing each other.
 TEST(SanitizeStress, BatcherProducersVsShutdown) {
   PNM_REQUIRE_SANITIZER();
   constexpr int kCycles = 3;
@@ -61,14 +63,16 @@ TEST(SanitizeStress, BatcherProducersVsShutdown) {
     std::atomic<int> popped{0};
 
     std::vector<std::thread> consumers;
-    for (int c = 0; c < 2; ++c) {
-      consumers.emplace_back([&] {
+    for (int c = 0; c < 3; ++c) {
+      consumers.emplace_back([&, c] {
         std::vector<serve::ServeRequest*> batch;
         while (batcher.pop_batch(batch)) {
+          if (c > 0) std::this_thread::sleep_for(std::chrono::microseconds(20 * c));
           for (serve::ServeRequest* r : batch) {
             popped.fetch_add(1, std::memory_order_relaxed);
             pool.release(r);
           }
+          batcher.finish_batch();
         }
       });
     }

@@ -279,6 +279,9 @@ TEST(ModelRegistryServer, TwoReactorLoadgenTotalsReconcileWithServerStats) {
   EXPECT_EQ(stats.models[1].responses, report_b.received);
   EXPECT_EQ(stats.models[0].responses + stats.models[1].responses + stats.predict_errors,
             stats.responses_total);  // per-model responses cover the total
+  EXPECT_EQ(stats.batches_departed_idle + stats.batches_departed_full +
+                stats.batches_departed_deadline + stats.batches_departed_drain,
+            stats.batches_total);  // every batch left by exactly one rule
   EXPECT_EQ(stats.predict_errors, 0U);
   EXPECT_EQ(stats.unknown_model, 0U);
   server.stop();

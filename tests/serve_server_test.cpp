@@ -1,9 +1,11 @@
 /// End-to-end tests for the serving layer over real loopback TCP:
-/// bit-exactness against the offline engine, micro-batch coalescing,
-/// hot-swap under load (version-tagged verification), protocol abuse
-/// (truncated / oversized / unknown frames, width mismatches, client
-/// disconnects), observability counters, and the zero-steady-state-
-/// allocation property of the request pool.
+/// bit-exactness against the offline engine, micro-batch coalescing and
+/// the one-write-per-connection-per-batch flush (pipelined bursts,
+/// interleaved connections, a peer vanishing mid-batch), hot-swap under
+/// load (version-tagged verification), protocol abuse (truncated /
+/// oversized / unknown frames, width mismatches, client disconnects),
+/// observability counters, and the zero-steady-state-allocation property
+/// of the request pool.
 
 #include "pnm/serve/server.hpp"
 
@@ -11,6 +13,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +62,69 @@ bool wait_for_stats(const Server& server, Pred pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return false;
+}
+
+/// A design wide enough that a pipelined burst on its route keeps a
+/// worker busy for tens of milliseconds.
+QuantizedMlp make_wide_model() { return make_model(99, {6, 1024, 1024, 3}); }
+constexpr std::size_t kWideBurst = 64;
+
+/// A registry serving `model` as the default route plus the wide design
+/// as "wide".
+std::shared_ptr<ModelRegistry> make_registry_with_wide(QuantizedMlp model) {
+  auto registry = std::make_shared<ModelRegistry>();
+  EXPECT_TRUE(registry->register_model("default", {std::move(model), 0, "", ""}, nullptr));
+  EXPECT_TRUE(registry->register_model("wide", {make_wide_model(), 0, "", ""}, nullptr));
+  return registry;
+}
+
+/// Occupies the only worker of a `worker_threads = 1` server with a
+/// pipelined burst on the wide route.  Requests admitted behind the burst
+/// wait in the queue meanwhile, which gives a vanishing client's hangup
+/// time to reach the reactor before the worker gets to its requests —
+/// a margin of compute time, not a deadline the batcher waits out.
+void occupy_worker(ServeClient& blocker) {
+  const auto samples = make_samples(kWideBurst, 6, 97);
+  for (std::size_t i = 0; i < kWideBurst; ++i) {
+    ASSERT_TRUE(blocker.send_predict_v2(static_cast<std::uint32_t>(i), "wide", samples[i]));
+  }
+}
+
+/// Reads the burst's answers: every id once, bit-exact for the wide design.
+void expect_burst_answered(ServeClient& blocker) {
+  const auto samples = make_samples(kWideBurst, 6, 97);
+  const QuantizedMlp wide = make_wide_model();
+  InferScratch scratch;
+  std::vector<int> seen(kWideBurst, 0);
+  PredictResponse resp;
+  for (std::size_t i = 0; i < kWideBurst; ++i) {
+    ASSERT_TRUE(blocker.read_predict(resp, 20000 * pnm::build_info::timing_multiplier()));
+    ASSERT_LT(resp.id, kWideBurst);
+    ++seen[resp.id];
+    EXPECT_EQ(resp.predicted_class, offline_predict(wide, samples[resp.id], scratch));
+  }
+  for (std::size_t i = 0; i < kWideBurst; ++i) EXPECT_EQ(seen[i], 1) << "id " << i;
+}
+
+/// The accounting identities every quiescent snapshot must satisfy.
+void expect_balanced(const MetricsSnapshot& s) {
+  std::uint64_t batches = 0;
+  std::uint64_t responses = 0;
+  for (std::size_t b = 1; b < s.batch_size_hist.size(); ++b) {
+    batches += s.batch_size_hist[b];
+    responses += s.batch_size_hist[b] * b;
+  }
+  EXPECT_EQ(batches, s.batches_total);
+  EXPECT_EQ(responses, s.responses_total);
+  EXPECT_EQ(s.batches_departed_idle + s.batches_departed_full +
+                s.batches_departed_deadline + s.batches_departed_drain,
+            s.batches_total);
+  EXPECT_EQ(s.requests_total, s.responses_total);
+  std::uint64_t by_model = s.predict_errors;
+  for (const ModelStats& m : s.models) by_model += m.responses;
+  EXPECT_EQ(by_model, s.responses_total);
+  EXPECT_LE(s.dropped_responses, s.responses_total);
+  EXPECT_EQ(s.queue_depth, 0U);
 }
 
 TEST(ServeServer, ServesBitExactPredictions) {
@@ -127,6 +193,9 @@ TEST(ServeServer, ObservabilityCountersAreConsistent) {
   }
   EXPECT_EQ(batches, stats.batches_total);      // histogram covers every batch
   EXPECT_EQ(responses, stats.responses_total);  // ...and every response
+  EXPECT_EQ(stats.batches_departed_idle + stats.batches_departed_full +
+                stats.batches_departed_deadline + stats.batches_departed_drain,
+            stats.batches_total);  // every batch left by exactly one rule
   EXPECT_GE(stats.mean_batch_size(), 1.0);
   EXPECT_GT(stats.latency_percentile_us(50), 0.0);
   EXPECT_GE(stats.latency_percentile_us(99), stats.latency_percentile_us(50));
@@ -139,6 +208,10 @@ TEST(ServeServer, ObservabilityCountersAreConsistent) {
   EXPECT_NE(json.find("\"latency_p50_us\":"), std::string::npos);
   EXPECT_NE(json.find("\"batch_size_hist\":"), std::string::npos);
   EXPECT_NE(json.find("\"queue_depth\":"), std::string::npos);
+  for (const char* key : {"idle", "full", "deadline", "drain"}) {
+    EXPECT_NE(json.find(std::string("\"batches_departed_") + key + "\":"), std::string::npos)
+        << key;
+  }
   server.stop();
 }
 
@@ -311,9 +384,13 @@ TEST(ServeServer, FeatureWidthMismatchIsAnErrorNotACrash) {
 
 TEST(ServeServer, ClientDisconnectMidFlightLeavesServerHealthy) {
   ServeConfig config;
-  config.batch_deadline_us = 20000;  // give the vanishing client time to vanish
-  Server server(config, {make_model(10), 0, "", ""});
+  config.worker_threads = 1;  // the wide burst below holds it
+  Server server(config, make_registry_with_wide(make_model(10)));
   server.start();
+
+  ServeClient blocker;
+  ASSERT_TRUE(blocker.connect("127.0.0.1", server.port()));
+  occupy_worker(blocker);
 
   const auto samples = make_samples(8, 6, 17);
   {
@@ -322,12 +399,13 @@ TEST(ServeServer, ClientDisconnectMidFlightLeavesServerHealthy) {
     for (std::size_t i = 0; i < samples.size(); ++i) {
       ASSERT_TRUE(doomed.send_predict(static_cast<std::uint32_t>(i), samples[i]));
     }
-    doomed.close();  // gone before the batch departs
+    doomed.close();  // normally gone before the busy worker reaches its batch
   }
   // All admitted requests are still processed (responses may be dropped,
   // never wedged).
+  expect_burst_answered(blocker);
   EXPECT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
-    return s.responses_total == samples.size();
+    return s.responses_total == kWideBurst + samples.size();
   }));
 
   ServeClient client;
@@ -335,6 +413,109 @@ TEST(ServeServer, ClientDisconnectMidFlightLeavesServerHealthy) {
   ASSERT_TRUE(client.send_predict(0, samples[0]));
   PredictResponse resp;
   EXPECT_TRUE(client.read_predict(resp));
+  server.stop();
+}
+
+TEST(ServeServer, PipelinedBurstsAreAnsweredExactlyOnceAndBitExact) {
+  Server server({}, {make_model(14), 0, "", ""});
+  server.start();
+  const QuantizedMlp reference = make_model(14);
+  InferScratch scratch;
+  PredictResponse resp;
+
+  // One connection, 40 requests in flight at once: the worker answers a
+  // whole batch per write, and every id still comes back exactly once.
+  const auto burst = make_samples(40, 6, 19);
+  ServeClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    ASSERT_TRUE(client.send_predict(static_cast<std::uint32_t>(i), burst[i]));
+  }
+  std::vector<int> seen(burst.size(), 0);
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    ASSERT_TRUE(client.read_predict(resp));
+    ASSERT_LT(resp.id, burst.size());
+    ++seen[resp.id];
+    EXPECT_EQ(resp.predicted_class, offline_predict(reference, burst[resp.id], scratch));
+  }
+  for (std::size_t i = 0; i < burst.size(); ++i) EXPECT_EQ(seen[i], 1) << "id " << i;
+
+  // Two connections interleaved request by request share batches; each
+  // outbox carries only its own connection's answers.
+  constexpr std::size_t kPer = 20;
+  const auto samples_a = make_samples(kPer, 6, 20);
+  const auto samples_b = make_samples(kPer, 6, 21);
+  ServeClient a;
+  ServeClient b;
+  ASSERT_TRUE(a.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(b.connect("127.0.0.1", server.port()));
+  for (std::size_t i = 0; i < kPer; ++i) {
+    ASSERT_TRUE(a.send_predict(static_cast<std::uint32_t>(100 + i), samples_a[i]));
+    ASSERT_TRUE(b.send_predict(static_cast<std::uint32_t>(200 + i), samples_b[i]));
+  }
+  const auto collect = [&](ServeClient& c, std::uint32_t base,
+                           const std::vector<std::vector<double>>& samples) {
+    std::vector<int> got(kPer, 0);
+    for (std::size_t i = 0; i < kPer; ++i) {
+      ASSERT_TRUE(c.read_predict(resp));
+      ASSERT_GE(resp.id, base);
+      ASSERT_LT(resp.id, base + kPer);
+      ++got[resp.id - base];
+      EXPECT_EQ(resp.predicted_class,
+                offline_predict(reference, samples[resp.id - base], scratch));
+    }
+    for (std::size_t i = 0; i < kPer; ++i) EXPECT_EQ(got[i], 1) << "id " << base + i;
+  };
+  collect(a, 100, samples_a);
+  collect(b, 200, samples_b);
+
+  const std::size_t total = burst.size() + 2 * kPer;
+  ASSERT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
+    return s.responses_total == total;
+  }));
+  const MetricsSnapshot stats = server.stats();
+  expect_balanced(stats);
+  EXPECT_EQ(stats.requests_total, total);
+  EXPECT_EQ(stats.dropped_responses, 0U);
+  server.stop();
+}
+
+TEST(ServeServer, PeerVanishingMidBatchDropsEveryFrameOfItsOutbox) {
+  ServeConfig config;
+  config.worker_threads = 1;
+  Server server(config, make_registry_with_wide(make_model(15)));
+  server.start();
+
+  ServeClient blocker;
+  ASSERT_TRUE(blocker.connect("127.0.0.1", server.port()));
+  occupy_worker(blocker);
+
+  // The doomed peer's 40 requests queue behind the wide burst; it is gone
+  // (and the reactor has marked it closed) before the worker gets to them,
+  // so each flush to it fails and drops every frame it carried.
+  const auto samples = make_samples(40, 6, 22);
+  {
+    ServeClient doomed;
+    ASSERT_TRUE(doomed.connect("127.0.0.1", server.port()));
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      ASSERT_TRUE(doomed.send_predict(static_cast<std::uint32_t>(i), samples[i]));
+    }
+  }
+  ASSERT_TRUE(wait_for_stats(
+      server, [](const MetricsSnapshot& s) { return s.connections_closed == 1; }));
+
+  expect_burst_answered(blocker);
+  const std::size_t total = kWideBurst + samples.size();
+  ASSERT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
+    return s.responses_total == total;
+  }));
+  const MetricsSnapshot stats = server.stats();
+  expect_balanced(stats);
+  EXPECT_EQ(stats.requests_total, total);
+  EXPECT_EQ(stats.dropped_responses, samples.size());  // one per doomed frame
+  ASSERT_EQ(stats.models.size(), 2U);
+  EXPECT_EQ(stats.models[0].responses, samples.size());
+  EXPECT_EQ(stats.models[1].responses, kWideBurst);
   server.stop();
 }
 
