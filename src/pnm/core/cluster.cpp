@@ -214,4 +214,50 @@ Trainer::Projector make_cluster_projector(ClusterAssignment assignment) {
   return [assignment = std::move(assignment)](Mlp& model) { assignment.project(model); };
 }
 
+ConstraintProjector::ConstraintProjector(const Mlp& model, const PruneMask& mask,
+                                         const ClusterAssignment& clusters) {
+  if (mask.layer_count() != model.layer_count() ||
+      clusters.layer_count() != model.layer_count()) {
+    throw std::invalid_argument("ConstraintProjector: model shape mismatch");
+  }
+  layers_.resize(model.layer_count());
+  for (std::size_t li = 0; li < model.layer_count(); ++li) {
+    const std::size_t n = model.layer(li).weights.size();
+    const auto& keep = mask.layer_mask(li);
+    if (keep.size() != n) {
+      throw std::invalid_argument("ConstraintProjector: layer shape mismatch");
+    }
+    LayerPlan& plan = layers_[li];
+    for (std::size_t i = 0; i < n; ++i) {
+      if (keep[i] == 0) plan.dropped.push_back(i);
+    }
+    for (const auto& group : clusters.layer_groups(li)) {
+      if (group.members.empty()) continue;
+      for (std::size_t idx : group.members) {
+        if (idx >= n) {
+          throw std::invalid_argument("ConstraintProjector: cluster member out of range");
+        }
+        plan.members.push_back(idx);
+      }
+      plan.group_end.push_back(plan.members.size());
+    }
+  }
+}
+
+void ConstraintProjector::operator()(Mlp& model) const {
+  for (std::size_t li = 0; li < layers_.size(); ++li) {
+    const LayerPlan& plan = layers_[li];
+    double* w = model.layers()[li].weights.data();
+    for (std::size_t idx : plan.dropped) w[idx] = 0.0;
+    std::size_t begin = 0;
+    for (std::size_t end : plan.group_end) {
+      double mean = 0.0;
+      for (std::size_t k = begin; k < end; ++k) mean += w[plan.members[k]];
+      mean /= static_cast<double>(end - begin);
+      for (std::size_t k = begin; k < end; ++k) w[plan.members[k]] = mean;
+      begin = end;
+    }
+  }
+}
+
 }  // namespace pnm

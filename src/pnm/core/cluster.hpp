@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "pnm/core/prune.hpp"
 #include "pnm/nn/mlp.hpp"
 #include "pnm/nn/trainer.hpp"
 #include "pnm/util/rng.hpp"
@@ -73,6 +74,31 @@ ClusterAssignment cluster_weights(Mlp& model, const std::vector<int>& clusters_p
 
 /// Trainer projector that keeps cluster members tied during fine-tuning.
 Trainer::Projector make_cluster_projector(ClusterAssignment assignment);
+
+/// The fine-tuning projector of a pruned and clustered network, built once
+/// per fit.  The constructor checks the mask and the assignment against
+/// the model's shapes (throws std::invalid_argument on a mismatch) and
+/// flattens both into per-layer index lists; each call then runs those
+/// lists without bounds checks: the mask's dropped weights are zeroed
+/// first, then every cluster is set to the mean of its members, summed in
+/// member order.  The result is bit for bit mask.apply(m) followed by
+/// clusters.project(m).  Precondition: the model passed to operator() has
+/// the shape of the one passed to the constructor.
+class ConstraintProjector {
+ public:
+  ConstraintProjector(const Mlp& model, const PruneMask& mask,
+                      const ClusterAssignment& clusters);
+
+  void operator()(Mlp& model) const;
+
+ private:
+  struct LayerPlan {
+    std::vector<std::size_t> dropped;    ///< flat indices the mask zeroes
+    std::vector<std::size_t> members;    ///< every group's members, back to back
+    std::vector<std::size_t> group_end;  ///< one past each group's last member
+  };
+  std::vector<LayerPlan> layers_;
+};
 
 /// 1-D k-means with k-means++ seeding; returns cluster index per value.
 /// Exposed for testing.  k must be >= 1; empty clusters are re-seeded on

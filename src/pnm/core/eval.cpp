@@ -83,10 +83,7 @@ Mlp PipelineEvaluator::minimize_float(const Genome& genome) const {
     // truncation is applied post-hoc by the integer model (like the paper
     // applies its approximations after training).
     trainer.set_weight_view(make_qat_view(spec));
-    trainer.set_projector([mask = std::move(mask), clusters = std::move(clusters)](Mlp& m) {
-      mask.apply(m);
-      clusters.project(m);
-    });
+    trainer.set_projector(ConstraintProjector(candidate, mask, clusters));
     trainer.fit(candidate, split_->train, rng);
     // The projector ran after each step, so both constraints hold here.
   }

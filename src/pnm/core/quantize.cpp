@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "pnm/nn/dense_simd.hpp"
 #include "pnm/util/bits.hpp"
 
 namespace pnm {
@@ -69,15 +70,11 @@ void fake_quantize_into(const Matrix& w, int bits, Matrix& out) {
     out.fill(0.0);
     return;
   }
-  // Fused quantize_codes + rescale: identical element arithmetic
-  // (clamp(round(w/scale)) * scale), no temporary code vector.
-  const int qmax = (1 << (bits - 1)) - 1;
-  const auto& src = w.raw();
-  auto& dst = out.raw();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const auto q = static_cast<long>(std::llround(src[i] / scale));
-    dst[i] = static_cast<double>(static_cast<int>(std::clamp<long>(q, -qmax, qmax))) * scale;
-  }
+  // Fused quantize_codes + rescale through the dispatched kernel: the
+  // same element arithmetic (clamp(round(w/scale)) * scale) on every ISA,
+  // no temporary code vector.
+  simd::dense_kernels().fake_quant(w.data(), out.data(), w.size(), scale,
+                                   (1L << (bits - 1)) - 1);
 }
 
 void fake_quantize_mlp(const Mlp& master, Mlp& view, const QuantSpec& spec) {
@@ -93,8 +90,17 @@ void fake_quantize_mlp(const Mlp& master, Mlp& view, const QuantSpec& spec) {
 }
 
 Trainer::WeightView make_qat_view(QuantSpec spec) {
-  return [spec = std::move(spec)](const Mlp& master, Mlp& view) {
-    fake_quantize_mlp(master, view, spec);
+  // Validated once here rather than on every optimizer step; the view
+  // then only checks the layer count.  Biases need no copy: the trainer
+  // hands the view a scratch model whose biases already equal the master's.
+  spec.validate(spec.weight_bits.size());
+  return [bits = std::move(spec.weight_bits)](const Mlp& master, Mlp& view) {
+    if (master.layer_count() != bits.size() || view.layer_count() != bits.size()) {
+      throw std::invalid_argument("QuantSpec: weight_bits size != layer count");
+    }
+    for (std::size_t li = 0; li < bits.size(); ++li) {
+      fake_quantize_into(master.layer(li).weights, bits[li], view.layer(li).weights);
+    }
   };
 }
 

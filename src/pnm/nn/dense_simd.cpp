@@ -1,7 +1,10 @@
 #include "pnm/nn/dense_simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+
+#include "pnm/nn/fastmath.hpp"
 
 namespace pnm::simd {
 
@@ -118,10 +121,58 @@ void sgd_scalar(double* w, const double* g, double* vel, unsigned long n,
   }
 }
 
+// ---- fine-tuning math ------------------------------------------------------
+
+void exp_scalar(const double* x, double* out, unsigned long n) {
+  for (unsigned long i = 0; i < n; ++i) out[i] = fast_exp(x[i]);
+}
+
+double softmax_xent8_scalar(const double* z, const unsigned long* labels,
+                            unsigned long lanes, unsigned long n_out,
+                            double* delta) {
+  double loss = 0.0;
+  for (unsigned long j = 0; j < lanes; ++j) {
+    double m = z[j];
+    for (unsigned long r = 1; r < n_out; ++r) {
+      if (m < z[r * kDenseBlock + j]) m = z[r * kDenseBlock + j];
+    }
+    double s = 0.0;
+    for (unsigned long r = 0; r < n_out; ++r) {
+      const double e = fast_exp(z[r * kDenseBlock + j] - m);
+      delta[r * kDenseBlock + j] = e;
+      s += e;
+    }
+    const double inv = 1.0 / s;
+    for (unsigned long r = 0; r < n_out; ++r) delta[r * kDenseBlock + j] *= inv;
+    const unsigned long y = labels[j];
+    delta[y * kDenseBlock + j] -= 1.0;
+    loss += fast_log(s) - (z[y * kDenseBlock + j] - m);
+  }
+  for (unsigned long j = lanes; j < kDenseBlock; ++j) {
+    for (unsigned long r = 0; r < n_out; ++r) delta[r * kDenseBlock + j] = 0.0;
+  }
+  return loss;
+}
+
+void fake_quant_scalar(const double* w, double* out, unsigned long n,
+                       double scale, long qmax) {
+  for (unsigned long i = 0; i < n; ++i) {
+    const auto q = static_cast<long>(std::llround(w[i] / scale));
+    out[i] = static_cast<double>(std::clamp(q, -qmax, qmax)) * scale;
+  }
+}
+
+double abs_max_scalar(const double* x, unsigned long n) {
+  double m = 0.0;
+  for (unsigned long i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
+  return m;
+}
+
 constexpr DenseKernels kScalarKernels = {
-    dot_scalar,        axpy_scalar,       layer_fwd8_scalar,
-    layer_grad8_scalar, layer_back8_scalar, adam_scalar,
-    sgd_scalar};
+    dot_scalar,        axpy_scalar,          layer_fwd8_scalar,
+    layer_grad8_scalar, layer_back8_scalar,  adam_scalar,
+    sgd_scalar,        exp_scalar,           softmax_xent8_scalar,
+    fake_quant_scalar, abs_max_scalar};
 
 }  // namespace
 

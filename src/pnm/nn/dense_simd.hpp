@@ -3,7 +3,8 @@
 
 /// \file dense_simd.hpp
 /// \brief Runtime-dispatched double-precision kernels for the trainer's
-/// dense hot path (matvec / outer-product gradients / optimizer updates).
+/// dense hot path (matvec / outer-product gradients / optimizer updates /
+/// softmax cross-entropy / QAT fake quantization).
 ///
 /// These kernels are the "vectorized fine-tuning math" companion to the
 /// integer multi-sample engine in core/infer_simd.hpp, and they share its
@@ -21,9 +22,15 @@
 ///    order, combined as (c0+c1)+(c2+c3).  The scalar fallback implements
 ///    exactly this order, and the vector kernels map chain j to lane j —
 ///    so scalar, AVX2, and NEON agree bit-for-bit.
-///  * No FMA anywhere (the build pins -ffp-contract=off on these TUs):
-///    a fused multiply-add rounds once where mul+add rounds twice, which
-///    would split results between FMA and non-FMA hardware.
+///  * exp / softmax_xent8 / fake_quant are elementwise or per-lane too:
+///    the vector kernels rebuild floor, llround's half-away-from-zero
+///    rounding and fast_exp's 2^k exponent assembly from exact
+///    operations, so they match the scalar definitions bit for bit.
+///    abs_max reduces with max, which is order-independent.
+///  * No FMA anywhere (the build pins -ffp-contract=off on these TUs and
+///    on nn/fastmath.cpp): a fused multiply-add rounds once where mul+add
+///    rounds twice, which would split results between FMA and non-FMA
+///    hardware.
 
 #include "pnm/core/infer_simd.hpp"
 
@@ -85,6 +92,31 @@ struct DenseKernels {
   ///   vel[i] = momentum*vel[i] - lr*g';  w[i] += vel[i]
   void (*sgd)(double* w, const double* g, double* vel, unsigned long n,
               double momentum, double lr, double weight_decay);
+  /// out[i] = fast_exp(x[i]) for i in [0, n) (nn/fastmath.hpp): the same
+  /// clamps, floor(x*log2e + 0.5) reduction, Horner chain and 2^k
+  /// exponent assembly.  out may alias x.
+  void (*exp)(const double* x, double* out, unsigned long n);
+  /// Fast-math softmax cross-entropy over 8 SoA lanes of n_out logits
+  /// z[r*8+j].  For each lane j < lanes, with label y = labels[j], it does
+  /// softmax_cross_entropy_fast's steps in its order:
+  ///   m = max_r z (max_element's `<`: the first maximum wins)
+  ///   e_r = fast_exp(z_r - m);  s = sum_r e_r with r ascending
+  ///   delta[r*8+j] = e_r * (1/s);  delta[y*8+j] -= 1
+  ///   loss_j = fast_log(s) - (z_y - m)
+  /// Padding lanes (j >= lanes) get delta exactly 0.  Returns the loss
+  /// summed over lanes with j ascending.  Labels must be < n_out.
+  double (*softmax_xent8)(const double* z, const unsigned long* labels,
+                          unsigned long lanes, unsigned long n_out,
+                          double* delta);
+  /// Fake quantization of w[0..n) at a positive scale:
+  ///   out[i] = clamp(llround(w[i] / scale), -qmax, qmax) * scale
+  /// (true division; llround rounds half away from zero; a zero code
+  /// gives +0).  Defined for finite w.  out may alias w.
+  void (*fake_quant)(const double* w, double* out, unsigned long n,
+                     double scale, long qmax);
+  /// max(0, max_i |x[i]|); NaN elements are skipped, like the scalar
+  /// std::max loop skips them.
+  double (*abs_max)(const double* x, unsigned long n);
 };
 
 /// Kernel table for the process-wide active ISA (resolved on first call,

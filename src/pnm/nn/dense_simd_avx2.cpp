@@ -7,10 +7,12 @@
 
 #if defined(__x86_64__)
 
+#include <algorithm>
 #include <cmath>
 #include <immintrin.h>
 
 #include "pnm/nn/dense_simd.hpp"
+#include "pnm/nn/fastmath.hpp"
 
 namespace pnm::simd {
 
@@ -172,13 +174,152 @@ void sgd_avx2(double* w, const double* g, double* vel, unsigned long n,
   }
 }
 
+// ---- fine-tuning math ------------------------------------------------------
+
+// Lane-selects (compare + blend) rather than min/max, so NaN flows through
+// exactly like the scalar ternaries.
+inline __m256d select_gt(__m256d x, __m256d bound, __m256d if_gt) {
+  return _mm256_blendv_pd(x, if_gt, _mm256_cmp_pd(x, bound, _CMP_GT_OQ));
+}
+inline __m256d select_lt(__m256d x, __m256d bound, __m256d if_lt) {
+  return _mm256_blendv_pd(x, if_lt, _mm256_cmp_pd(x, bound, _CMP_LT_OQ));
+}
+
+// fast_exp on 4 lanes: the scalar clamps, floor via roundpd, the same
+// reduction and Horner chain, and 2^k from the bits of kd + (2^52 + 1023).
+inline __m256d fast_exp_avx2(__m256d x) {
+  using namespace fast_exp_constants;
+  const __m256d under = _mm256_set1_pd(kFastExpUnderflow);
+  const __m256d over = _mm256_set1_pd(kOverflow);
+  const __m256d lo = select_lt(select_gt(x, over, over), under, under);
+  const __m256d kd = _mm256_round_pd(
+      _mm256_add_pd(_mm256_mul_pd(lo, _mm256_set1_pd(kLog2E)), _mm256_set1_pd(0.5)),
+      _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  const __m256d r =
+      _mm256_sub_pd(_mm256_sub_pd(lo, _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Hi))),
+                    _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Lo)));
+  __m256d p = _mm256_set1_pd(kTaylor[0]);
+  for (int i = 1; i < 11; ++i) {
+    p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(kTaylor[i]));
+  }
+  const __m256i k_bits = _mm256_slli_epi64(
+      _mm256_castpd_si256(_mm256_add_pd(kd, _mm256_set1_pd(kExpBias))), 52);
+  const __m256d e = _mm256_mul_pd(p, _mm256_castsi256_pd(k_bits));
+  return _mm256_andnot_pd(_mm256_cmp_pd(x, under, _CMP_LT_OQ), e);
+}
+
+void exp_avx2(const double* x, double* out, unsigned long n) {
+  unsigned long i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, fast_exp_avx2(_mm256_loadu_pd(x + i)));
+  }
+  for (; i < n; ++i) out[i] = fast_exp(x[i]);
+}
+
+// Lanes 0..3 live in the low register, 4..7 in the high one.  The max
+// keeps the running value unless the new logit is strictly greater
+// (vmaxpd returns its second operand on ties and NaN), the sum runs over
+// r ascending per lane, and the per-lane tail (label, log, loss) is
+// scalar in lane order.
+double softmax_xent8_avx2(const double* z, const unsigned long* labels,
+                          unsigned long lanes, unsigned long n_out,
+                          double* delta) {
+  __m256d m_lo = _mm256_loadu_pd(z);
+  __m256d m_hi = _mm256_loadu_pd(z + 4);
+  for (unsigned long r = 1; r < n_out; ++r) {
+    m_lo = _mm256_max_pd(_mm256_loadu_pd(z + r * kDenseBlock), m_lo);
+    m_hi = _mm256_max_pd(_mm256_loadu_pd(z + r * kDenseBlock + 4), m_hi);
+  }
+  __m256d s_lo = _mm256_setzero_pd();
+  __m256d s_hi = _mm256_setzero_pd();
+  for (unsigned long r = 0; r < n_out; ++r) {
+    const double* zr = z + r * kDenseBlock;
+    const __m256d e_lo = fast_exp_avx2(_mm256_sub_pd(_mm256_loadu_pd(zr), m_lo));
+    const __m256d e_hi = fast_exp_avx2(_mm256_sub_pd(_mm256_loadu_pd(zr + 4), m_hi));
+    _mm256_storeu_pd(delta + r * kDenseBlock, e_lo);
+    _mm256_storeu_pd(delta + r * kDenseBlock + 4, e_hi);
+    s_lo = _mm256_add_pd(s_lo, e_lo);
+    s_hi = _mm256_add_pd(s_hi, e_hi);
+  }
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d inv_lo = _mm256_div_pd(one, s_lo);
+  const __m256d inv_hi = _mm256_div_pd(one, s_hi);
+  for (unsigned long r = 0; r < n_out; ++r) {
+    double* dr = delta + r * kDenseBlock;
+    _mm256_storeu_pd(dr, _mm256_mul_pd(_mm256_loadu_pd(dr), inv_lo));
+    _mm256_storeu_pd(dr + 4, _mm256_mul_pd(_mm256_loadu_pd(dr + 4), inv_hi));
+  }
+  double m[kDenseBlock], s[kDenseBlock];
+  _mm256_storeu_pd(m, m_lo);
+  _mm256_storeu_pd(m + 4, m_hi);
+  _mm256_storeu_pd(s, s_lo);
+  _mm256_storeu_pd(s + 4, s_hi);
+  double loss = 0.0;
+  for (unsigned long j = 0; j < lanes; ++j) {
+    const unsigned long y = labels[j];
+    delta[y * kDenseBlock + j] -= 1.0;
+    loss += fast_log(s[j]) - (z[y * kDenseBlock + j] - m[j]);
+  }
+  for (unsigned long j = lanes; j < kDenseBlock; ++j) {
+    for (unsigned long r = 0; r < n_out; ++r) delta[r * kDenseBlock + j] = 0.0;
+  }
+  return loss;
+}
+
+// llround without the integer round trip: t - trunc(t) is exact, so
+// |t - trunc(t)| >= 0.5 is exactly llround's half-away-from-zero test.
+// Adding the +0 or +-1 step also turns a -0 code into +0, as the scalar
+// integer 0 converts.
+void fake_quant_avx2(const double* w, double* out, unsigned long n,
+                     double scale, long qmax) {
+  const __m256d sc = _mm256_set1_pd(scale);
+  const __m256d hi = _mm256_set1_pd(static_cast<double>(qmax));
+  const __m256d lo = _mm256_set1_pd(-static_cast<double>(qmax));
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d one = _mm256_set1_pd(1.0);
+  unsigned long i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d t = _mm256_div_pd(_mm256_loadu_pd(w + i), sc);
+    const __m256d tr = _mm256_round_pd(t, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256d frac = _mm256_andnot_pd(sign, _mm256_sub_pd(t, tr));
+    const __m256d step =
+        _mm256_and_pd(_mm256_cmp_pd(frac, half, _CMP_GE_OQ),
+                      _mm256_or_pd(_mm256_and_pd(t, sign), one));
+    const __m256d q = select_lt(select_gt(_mm256_add_pd(tr, step), hi, hi), lo, lo);
+    _mm256_storeu_pd(out + i, _mm256_mul_pd(q, sc));
+  }
+  for (; i < n; ++i) {
+    const auto q = static_cast<long>(std::llround(w[i] / scale));
+    out[i] = static_cast<double>(std::clamp(q, -qmax, qmax)) * scale;
+  }
+}
+
+// vmaxpd(|x|, acc) keeps acc unless |x| is strictly greater — the scalar
+// std::max(acc, |x|), NaN skipped; max is order-independent otherwise.
+double abs_max_avx2(const double* x, unsigned long n) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  __m256d acc = _mm256_setzero_pd();
+  unsigned long i = 0;
+  for (; i + 4 <= n; i += 4) {
+    acc = _mm256_max_pd(_mm256_andnot_pd(sign, _mm256_loadu_pd(x + i)), acc);
+  }
+  double lanes[4];
+  _mm256_storeu_pd(lanes, acc);
+  double m = 0.0;
+  for (double v : lanes) m = std::max(m, v);
+  for (; i < n; ++i) m = std::max(m, std::fabs(x[i]));
+  return m;
+}
+
 }  // namespace
 
 const DenseKernels& dense_kernels_avx2() {
   static constexpr DenseKernels kTable = {
-      dot_avx2,        axpy_avx2,       layer_fwd8_avx2,
-      layer_grad8_avx2, layer_back8_avx2, adam_avx2,
-      sgd_avx2};
+      dot_avx2,        axpy_avx2,          layer_fwd8_avx2,
+      layer_grad8_avx2, layer_back8_avx2,  adam_avx2,
+      sgd_avx2,        exp_avx2,           softmax_xent8_avx2,
+      fake_quant_avx2, abs_max_avx2};
   return kTable;
 }
 

@@ -9,9 +9,11 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "pnm/nn/dense_simd.hpp"
+#include "pnm/nn/fastmath.hpp"
 
 namespace pnm::simd {
 
@@ -176,13 +178,146 @@ void sgd_neon(double* w, const double* g, double* vel, unsigned long n,
   }
 }
 
+// ---- fine-tuning math ------------------------------------------------------
+
+// Lane-selects (compare + bit-select) rather than vmax/vmin, whose NaN
+// rules differ from the scalar ternaries.
+inline float64x2_t select_gt(float64x2_t x, float64x2_t bound, float64x2_t if_gt) {
+  return vbslq_f64(vcgtq_f64(x, bound), if_gt, x);
+}
+inline float64x2_t select_lt(float64x2_t x, float64x2_t bound, float64x2_t if_lt) {
+  return vbslq_f64(vcltq_f64(x, bound), if_lt, x);
+}
+
+// fast_exp on 2 lanes: the scalar clamps, floor via frintm, the same
+// reduction and Horner chain, and 2^k from the bits of kd + (2^52 + 1023).
+inline float64x2_t fast_exp_neon(float64x2_t x) {
+  using namespace fast_exp_constants;
+  const float64x2_t under = vdupq_n_f64(kFastExpUnderflow);
+  const float64x2_t over = vdupq_n_f64(kOverflow);
+  const float64x2_t lo = select_lt(select_gt(x, over, over), under, under);
+  const float64x2_t kd = vrndmq_f64(
+      vaddq_f64(vmulq_f64(lo, vdupq_n_f64(kLog2E)), vdupq_n_f64(0.5)));
+  const float64x2_t r = vsubq_f64(vsubq_f64(lo, vmulq_f64(kd, vdupq_n_f64(kLn2Hi))),
+                                  vmulq_f64(kd, vdupq_n_f64(kLn2Lo)));
+  float64x2_t p = vdupq_n_f64(kTaylor[0]);
+  for (int i = 1; i < 11; ++i) {
+    p = vaddq_f64(vmulq_f64(p, r), vdupq_n_f64(kTaylor[i]));
+  }
+  const uint64x2_t k_bits = vshlq_n_u64(
+      vreinterpretq_u64_f64(vaddq_f64(kd, vdupq_n_f64(kExpBias))), 52);
+  const float64x2_t e = vmulq_f64(p, vreinterpretq_f64_u64(k_bits));
+  return vreinterpretq_f64_u64(
+      vbicq_u64(vreinterpretq_u64_f64(e), vcltq_f64(x, under)));
+}
+
+void exp_neon(const double* x, double* out, unsigned long n) {
+  unsigned long i = 0;
+  for (; i + 2 <= n; i += 2) vst1q_f64(out + i, fast_exp_neon(vld1q_f64(x + i)));
+  for (; i < n; ++i) out[i] = fast_exp(x[i]);
+}
+
+// Four float64x2 hold lanes {0,1}, {2,3}, {4,5}, {6,7}.  The max keeps the
+// running value unless the new logit is strictly greater, the sum runs
+// over r ascending per lane, and the per-lane tail (label, log, loss) is
+// scalar in lane order.
+double softmax_xent8_neon(const double* z, const unsigned long* labels,
+                          unsigned long lanes, unsigned long n_out,
+                          double* delta) {
+  constexpr unsigned long kRegs = kDenseBlock / 2;
+  float64x2_t m[kRegs], s[kRegs], inv[kRegs];
+  for (unsigned long q = 0; q < kRegs; ++q) {
+    m[q] = vld1q_f64(z + 2 * q);
+    s[q] = vdupq_n_f64(0.0);
+  }
+  for (unsigned long r = 1; r < n_out; ++r) {
+    for (unsigned long q = 0; q < kRegs; ++q) {
+      const float64x2_t zr = vld1q_f64(z + r * kDenseBlock + 2 * q);
+      m[q] = vbslq_f64(vcltq_f64(m[q], zr), zr, m[q]);
+    }
+  }
+  for (unsigned long r = 0; r < n_out; ++r) {
+    for (unsigned long q = 0; q < kRegs; ++q) {
+      const unsigned long at = r * kDenseBlock + 2 * q;
+      const float64x2_t e = fast_exp_neon(vsubq_f64(vld1q_f64(z + at), m[q]));
+      vst1q_f64(delta + at, e);
+      s[q] = vaddq_f64(s[q], e);
+    }
+  }
+  for (unsigned long q = 0; q < kRegs; ++q) inv[q] = vdivq_f64(vdupq_n_f64(1.0), s[q]);
+  for (unsigned long r = 0; r < n_out; ++r) {
+    for (unsigned long q = 0; q < kRegs; ++q) {
+      const unsigned long at = r * kDenseBlock + 2 * q;
+      vst1q_f64(delta + at, vmulq_f64(vld1q_f64(delta + at), inv[q]));
+    }
+  }
+  double mj[kDenseBlock], sj[kDenseBlock];
+  for (unsigned long q = 0; q < kRegs; ++q) {
+    vst1q_f64(mj + 2 * q, m[q]);
+    vst1q_f64(sj + 2 * q, s[q]);
+  }
+  double loss = 0.0;
+  for (unsigned long j = 0; j < lanes; ++j) {
+    const unsigned long y = labels[j];
+    delta[y * kDenseBlock + j] -= 1.0;
+    loss += fast_log(sj[j]) - (z[y * kDenseBlock + j] - mj[j]);
+  }
+  for (unsigned long j = lanes; j < kDenseBlock; ++j) {
+    for (unsigned long r = 0; r < n_out; ++r) delta[r * kDenseBlock + j] = 0.0;
+  }
+  return loss;
+}
+
+// llround without the integer round trip: t - trunc(t) is exact, so
+// |t - trunc(t)| >= 0.5 is exactly llround's half-away-from-zero test.
+// Adding the +0 or +-1 step also turns a -0 code into +0, as the scalar
+// integer 0 converts.
+void fake_quant_neon(const double* w, double* out, unsigned long n,
+                     double scale, long qmax) {
+  const float64x2_t sc = vdupq_n_f64(scale);
+  const float64x2_t hi = vdupq_n_f64(static_cast<double>(qmax));
+  const float64x2_t lo = vdupq_n_f64(-static_cast<double>(qmax));
+  const uint64x2_t sign = vdupq_n_u64(0x8000000000000000ULL);
+  const uint64x2_t one = vreinterpretq_u64_f64(vdupq_n_f64(1.0));
+  unsigned long i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t t = vdivq_f64(vld1q_f64(w + i), sc);
+    const float64x2_t tr = vrndq_f64(t);
+    const uint64x2_t round_away = vcgeq_f64(vabsq_f64(vsubq_f64(t, tr)), vdupq_n_f64(0.5));
+    const uint64x2_t step =
+        vandq_u64(round_away, vorrq_u64(vandq_u64(vreinterpretq_u64_f64(t), sign), one));
+    const float64x2_t q =
+        select_lt(select_gt(vaddq_f64(tr, vreinterpretq_f64_u64(step)), hi, hi), lo, lo);
+    vst1q_f64(out + i, vmulq_f64(q, sc));
+  }
+  for (; i < n; ++i) {
+    const auto q = static_cast<long>(std::llround(w[i] / scale));
+    out[i] = static_cast<double>(std::clamp(q, -qmax, qmax)) * scale;
+  }
+}
+
+// acc keeps its value unless |x| is strictly greater — the scalar
+// std::max(acc, |x|), NaN skipped; max is order-independent otherwise.
+double abs_max_neon(const double* x, unsigned long n) {
+  float64x2_t acc = vdupq_n_f64(0.0);
+  unsigned long i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t a = vabsq_f64(vld1q_f64(x + i));
+    acc = vbslq_f64(vcltq_f64(acc, a), a, acc);
+  }
+  double m = std::max(vgetq_lane_f64(acc, 0), vgetq_lane_f64(acc, 1));
+  for (; i < n; ++i) m = std::max(m, std::fabs(x[i]));
+  return m;
+}
+
 }  // namespace
 
 const DenseKernels& dense_kernels_neon() {
   static constexpr DenseKernels kTable = {
-      dot_neon,        axpy_neon,       layer_fwd8_neon,
-      layer_grad8_neon, layer_back8_neon, adam_neon,
-      sgd_neon};
+      dot_neon,        axpy_neon,          layer_fwd8_neon,
+      layer_grad8_neon, layer_back8_neon,  adam_neon,
+      sgd_neon,        exp_neon,           softmax_xent8_neon,
+      fake_quant_neon, abs_max_neon};
   return kTable;
 }
 

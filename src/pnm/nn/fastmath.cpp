@@ -4,38 +4,29 @@
 #include <cmath>
 #include <cstdint>
 
+#include "pnm/nn/dense_simd.hpp"
+
 namespace pnm {
 
 namespace {
 
-constexpr double kLog2E = 1.4426950408889634074;    // 1/ln 2
-constexpr double kLn2Hi = 6.93145751953125e-1;      // ln 2, high 21 bits (exact)
-constexpr double kLn2Lo = 1.42860682030941723212e-6;  // ln 2 - kLn2Hi
-constexpr double kExpOverflow = 709.782712893384;   // exp() overflows above this
+using namespace fast_exp_constants;
 constexpr double kSqrt2 = 1.41421356237309504880;
 
-/// e^x for x already clamped to [kFastExpUnderflow, kExpOverflow].
+/// e^x for x already clamped to [kFastExpUnderflow, kOverflow].
 /// k = round(x/ln2); r = x - k*ln2 via the split constant (the k*kLn2Hi
 /// product is exact for |k| <= 2^31, so r carries ~70 bits of reduction);
 /// e^r by degree-10 Taylor (truncation < 3e-13 rel at |r| = ln2/2); then
-/// scale by 2^k assembled straight into the exponent field.
+/// scale by 2^k assembled straight into the exponent field from the bits
+/// of kd + kExpBias — no float-to-int conversion, so a NaN input stays
+/// defined (and NaN), and the vector kernels do exactly the same.
 inline double exp_core(double x) {
   const double kd = std::floor(x * kLog2E + 0.5);
   const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
-  double p = 1.0 / 3628800.0;
-  p = p * r + 1.0 / 362880.0;
-  p = p * r + 1.0 / 40320.0;
-  p = p * r + 1.0 / 5040.0;
-  p = p * r + 1.0 / 720.0;
-  p = p * r + 1.0 / 120.0;
-  p = p * r + 1.0 / 24.0;
-  p = p * r + 1.0 / 6.0;
-  p = p * r + 0.5;
-  p = p * r + 1.0;
-  p = p * r + 1.0;
-  const auto k = static_cast<std::int64_t>(kd);
+  double p = kTaylor[0];
+  for (int i = 1; i < 11; ++i) p = p * r + kTaylor[i];
   const double scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
+      std::bit_cast<double>(std::bit_cast<std::uint64_t>(kd + kExpBias) << 52);
   return p * scale;
 }
 
@@ -44,20 +35,14 @@ inline double exp_core(double x) {
 double fast_exp(double x) {
   // Branchless clamps (ternaries if-convert): overflow saturates through
   // the k = 1024 => inf exponent pattern, underflow flushes to exactly 0.
-  const double hi = x > kExpOverflow ? kExpOverflow : x;
+  const double hi = x > kOverflow ? kOverflow : x;
   const double lo = hi < kFastExpUnderflow ? kFastExpUnderflow : hi;
   const double e = exp_core(lo);
   return x < kFastExpUnderflow ? 0.0 : e;
 }
 
 void fast_exp(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = x[i];
-    const double hi = xi > kExpOverflow ? kExpOverflow : xi;
-    const double lo = hi < kFastExpUnderflow ? kFastExpUnderflow : hi;
-    const double e = exp_core(lo);
-    out[i] = xi < kFastExpUnderflow ? 0.0 : e;
-  }
+  simd::dense_kernels().exp(x, out, n);
 }
 
 double fast_log(double x) {

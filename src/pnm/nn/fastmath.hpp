@@ -4,16 +4,18 @@
 /// \file fastmath.hpp
 /// \brief Declared accuracy-neutral exp/log for the fine-tuning hot path.
 ///
-/// Fine-tuning dominates netlist-backend evaluation (~60%), and inside it
-/// the cost is libm `exp`/`log` in softmax cross-entropy.  The bit-exact
-/// optimizations are exhausted (the integer inference engine is already
-/// bit-identical), so this layer trades *declared, bounded* accuracy for
-/// speed:
+/// Softmax cross-entropy is the largest single cost of a fine-tuning
+/// step, and through libm `exp`/`log` (one opaque call per logit) it
+/// cannot vectorize.  These replacements trade *declared, bounded*
+/// accuracy against libm for speed.  They are themselves exactly
+/// specified, so the vector kernels built on them (nn/dense_simd.hpp)
+/// reproduce the scalar functions bit for bit:
 ///
 ///  * `fast_exp`: range reduction x = k*ln2 + r (two-part ln2 constant),
 ///    degree-10 Taylor polynomial of e^r on |r| <= ln2/2, result assembled
 ///    as poly(r) * 2^k by exponent-bit arithmetic.  Branch-free except for
-///    the range clamp, so the batch form auto-vectorizes.
+///    the range clamps.  The batch form runs through the dispatched
+///    DenseKernels::exp (AVX2 / NEON / scalar), identical on every table.
 ///  * `fast_log`: exponent/mantissa split to m in [1/sqrt2, sqrt2), then
 ///    the atanh series log m = 2 * sum t^(2i+1)/(2i+1), t = (m-1)/(m+1),
 ///    truncated at t^13.
@@ -44,11 +46,29 @@ inline constexpr double kFastLogMaxRelError = 4e-12;
 /// Inputs below this flush fast_exp to exactly 0 (no subnormal tail).
 inline constexpr double kFastExpUnderflow = -708.0;
 
+/// The constants of fast_exp, shared by the scalar function and the
+/// vector kernels so every implementation reduces and evaluates alike.
+namespace fast_exp_constants {
+inline constexpr double kLog2E = 1.4426950408889634074;      // 1/ln 2
+inline constexpr double kLn2Hi = 6.93145751953125e-1;        // ln 2, high 21 bits (exact)
+inline constexpr double kLn2Lo = 1.42860682030941723212e-6;  // ln 2 - kLn2Hi
+inline constexpr double kOverflow = 709.782712893384;        // exp() overflows above this
+/// Horner coefficients of e^r, highest degree first: 1/10!, 1/9!, ..., 1/1!, 1/0!.
+inline constexpr double kTaylor[11] = {
+    1.0 / 3628800.0, 1.0 / 362880.0, 1.0 / 40320.0, 1.0 / 5040.0,
+    1.0 / 720.0,     1.0 / 120.0,    1.0 / 24.0,    1.0 / 6.0,
+    0.5,             1.0,            1.0};
+/// kd + kExpBias puts k + 1023 in the low mantissa bits (kd integral,
+/// |kd| < 2^11), so shifting the bit pattern left by 52 gives 2^k.
+inline constexpr double kExpBias = 4503599627370496.0 + 1023.0;  // 2^52 + 1023
+}  // namespace fast_exp_constants
+
 /// e^x with the bound above; monotone clamp: +inf for x > 709.78.
 double fast_exp(double x);
 
-/// Batch form: out[i] = fast_exp(x[i]).  One pass, auto-vectorizable
-/// (no data-dependent branches).  `out` may alias `x`.
+/// Batch form: out[i] = fast_exp(x[i]) through the active
+/// DenseKernels::exp table (bit-identical on every ISA).  `out` may alias
+/// `x`.
 void fast_exp(const double* x, double* out, std::size_t n);
 
 /// Natural log with the bound above.  Domain: x > 0 and finite (callers

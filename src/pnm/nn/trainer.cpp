@@ -160,20 +160,32 @@ double backprop_block(const Mlp& model, const Dataset& train,
     apply_activation(layer.act, acts[li + 1]);
   }
 
-  // Per-lane softmax cross-entropy on the gathered logits; padding lanes
-  // keep delta = 0, so their backward contributions vanish identically.
+  // Softmax cross-entropy on the SoA logits; padding lanes end with
+  // delta = 0, so their backward contributions vanish identically.
   const std::size_t n_out = model.output_size();
+  const double* logits = acts[n_layers].data();
   auto& delta = scratch.delta;
-  delta.assign(n_out * kB, 0.0);
-  const bool fast = softmax_fast_math();
+  delta.resize(n_out * kB);
   double loss = 0.0;
-  for (std::size_t j = 0; j < lanes; ++j) {
-    auto& logits = scratch.logits;
-    logits.resize(n_out);
-    for (std::size_t r = 0; r < n_out; ++r) logits[r] = acts[n_layers][r * kB + j];
-    loss += fast ? softmax_cross_entropy_fast(logits, train.y[idx[j]], &scratch.grad)
-                 : softmax_cross_entropy(logits, train.y[idx[j]], &scratch.grad);
-    for (std::size_t r = 0; r < n_out; ++r) delta[r * kB + j] = scratch.grad[r];
+  if (softmax_fast_math()) {
+    unsigned long labels[kB];
+    for (std::size_t j = 0; j < lanes; ++j) {
+      labels[j] = train.y[idx[j]];
+      if (labels[j] >= n_out) {
+        throw std::invalid_argument("softmax_cross_entropy: label out of range");
+      }
+    }
+    loss = kernels.softmax_xent8(logits, labels, lanes, n_out, delta.data());
+  } else {
+    // libm reference: one lane at a time through the per-sample function.
+    std::fill(delta.begin(), delta.end(), 0.0);
+    auto& lane_logits = scratch.logits;
+    lane_logits.resize(n_out);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      for (std::size_t r = 0; r < n_out; ++r) lane_logits[r] = logits[r * kB + j];
+      loss += softmax_cross_entropy(lane_logits, train.y[idx[j]], &scratch.grad);
+      for (std::size_t r = 0; r < n_out; ++r) delta[r * kB + j] = scratch.grad[r];
+    }
   }
   apply_activation_grad(model.layers().back().act, acts[n_layers], delta);
 
@@ -215,7 +227,9 @@ TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
   std::vector<std::size_t> order(train.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  Mlp view_model = model;  // scratch copy for STE weight views
+  // Scratch model for STE weight views, shaped like the master once: each
+  // step refreshes only the biases, since the view writes every weight.
+  Mlp view_model = model;
   TrainResult result;
   result.epoch_loss.reserve(config_.epochs);
   double lr = config_.lr;
@@ -229,7 +243,9 @@ TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
 
       const Mlp* fwd = &model;
       if (view_) {
-        view_model = model;
+        for (std::size_t li = 0; li < model.layer_count(); ++li) {
+          view_model.layer(li).bias = model.layer(li).bias;
+        }
         view_(model, view_model);
         fwd = &view_model;
       }

@@ -97,8 +97,8 @@ struct BlockBackpropScratch {
   std::vector<std::vector<double>> acts;  ///< blocked activations per layer
   std::vector<double> delta;              ///< blocked dL/d(layer output)
   std::vector<double> prev_delta;         ///< blocked back-propagated delta
-  std::vector<double> logits;             ///< one lane's logits (gathered)
-  std::vector<double> grad;               ///< one lane's dL/dlogits
+  std::vector<double> logits;             ///< one lane's logits (libm mode)
+  std::vector<double> grad;               ///< one lane's dL/dlogits (libm mode)
 };
 
 /// Multi-sample backprop: runs up to 8 samples (train.x[idx[0..lanes)])
@@ -107,7 +107,11 @@ struct BlockBackpropScratch {
 /// kernels).  Accumulates dL/dparams into grads (+=) and returns the
 /// summed loss over the lanes.  Padding lanes (lanes < 8) are zero-filled
 /// and their deltas zeroed after the loss, so they contribute nothing.
-/// Per-lane arithmetic is not bit-identical to backprop_sample (different
+/// The fast-math softmax runs on all lanes at once
+/// (DenseKernels::softmax_xent8); each lane's loss and delta are bit for
+/// bit what softmax_cross_entropy_fast gives on that lane's logits.  The
+/// libm mode calls softmax_cross_entropy lane by lane.  The weight
+/// gradients are not bit-identical to backprop_sample (different
 /// reduction orders) — covered by the accuracy-neutral fine-tuning
 /// contract, like the fast-math softmax.
 double backprop_block(const Mlp& model, const Dataset& train,
@@ -140,8 +144,11 @@ struct TrainResult {
 /// Runs mini-batch training on `model` in place.
 class Trainer {
  public:
-  /// Substitutes the weights used in the forward/backward pass (STE). The
-  /// callee receives the master model and a scratch copy to modify.
+  /// Substitutes the weights used in the forward/backward pass (STE).  The
+  /// callee receives the master model and a scratch model of the same
+  /// shape whose biases and activations equal the master's; it must write
+  /// every weight of the scratch model (weights are not re-copied from the
+  /// master between steps).
   using WeightView = std::function<void(const Mlp& master, Mlp& view)>;
   /// Constraint re-imposed on the master model after each optimizer step.
   using Projector = std::function<void(Mlp& master)>;

@@ -204,6 +204,36 @@ TEST(ClusterFineTune, TiesHoldAndAccuracyRecovers) {
   EXPECT_GE(accuracy(net, split.test), acc_clustered - 0.02);
 }
 
+/// The compiled projector must equal mask.apply + project bit for bit
+/// after arbitrary drift (as between optimizer steps), and reject
+/// constraints shaped for another model.
+TEST(ConstraintProjector, MatchesMaskThenClusterProjection) {
+  Mlp net = random_net(50);
+  Rng rng(51);
+  const PruneMask mask = magnitude_prune_per_layer(net, {0.5, 0.3});
+  const ClusterAssignment clusters = cluster_weights(net, {2, 3}, rng);
+  const ConstraintProjector projector(net, mask, clusters);
+  for (int step = 0; step < 3; ++step) {
+    for (auto& layer : net.layers()) {
+      for (double& w : layer.weights.raw()) w += 0.01 * rng.normal();
+    }
+    Mlp expected = net;
+    mask.apply(expected);
+    clusters.project(expected);
+    projector(net);
+    for (std::size_t li = 0; li < net.layer_count(); ++li) {
+      EXPECT_EQ(net.layer(li).weights.raw(), expected.layer(li).weights.raw());
+    }
+  }
+  EXPECT_TRUE(mask.satisfied_by(net));
+  EXPECT_TRUE(clusters.satisfied_by(net));
+
+  const Mlp other({6, 5, 4}, rng);
+  EXPECT_THROW(ConstraintProjector(other, mask, clusters), std::invalid_argument);
+  EXPECT_THROW(ConstraintProjector(net, PruneMask::ones_like(other), clusters),
+               std::invalid_argument);
+}
+
 /// Cluster-count sweep: distinct column values never exceed k.
 class ClusterCountSweep : public ::testing::TestWithParam<int> {};
 

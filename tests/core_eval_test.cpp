@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "pnm/core/flow.hpp"
+#include "pnm/nn/dense_simd.hpp"
 
 namespace pnm {
 namespace {
@@ -159,6 +162,63 @@ TEST(Eval, ParallelNetlistIsBitIdenticalToo) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_same_point(fanned[i], serial[i]);
   }
+}
+
+/// FNV-1a over the bit patterns of every weight and bias, in layer order.
+std::uint64_t weight_digest(const Mlp& model, std::uint64_t h) {
+  const auto mix = [&h](double v) {
+    h ^= std::bit_cast<std::uint64_t>(v);
+    h *= 1099511628211ULL;
+  };
+  for (const auto& layer : model.layers()) {
+    for (double w : layer.weights.raw()) mix(w);
+    for (double b : layer.bias) mix(b);
+  }
+  return h;
+}
+
+TEST(Eval, MinimizeFloatIsBitIdenticalAcrossKernelTablesAndPinned) {
+  auto& flow = seeds_flow();
+  ProxyEvaluator proxy = flow.proxy_evaluator(4);
+  // 2-bit weights, 70% sparsity and 2 clusters: the fake-quant ties, the
+  // mask and the cluster means all act on every fine-tuning step.
+  std::vector<Genome> genomes(4);
+  genomes[0].weight_bits = {2, 2};
+  genomes[0].sparsity_pct = {70, 70};
+  genomes[0].clusters = {2, 2};
+  genomes[1].weight_bits = {2, 6};
+  genomes[1].sparsity_pct = {70, 0};
+  genomes[1].clusters = {2, 0};
+  genomes[2].weight_bits = {4, 2};
+  genomes[2].sparsity_pct = {0, 70};
+  genomes[2].clusters = {0, 2};
+  genomes[3].weight_bits = {3, 8};
+  genomes[3].sparsity_pct = {40, 70};
+  genomes[3].clusters = {2, 3};
+
+  std::vector<Mlp> native;
+  std::uint64_t digest = 1469598103934665603ULL;
+  for (const Genome& g : genomes) {
+    native.push_back(proxy.minimize_float(g));
+    digest = weight_digest(native.back(), digest);
+  }
+  simd::force_dense_kernels(simd::Isa::kScalar);
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
+    const Mlp scalar = proxy.minimize_float(genomes[i]);
+    for (std::size_t li = 0; li < scalar.layer_count(); ++li) {
+      EXPECT_EQ(scalar.layer(li).weights.raw(), native[i].layer(li).weights.raw())
+          << "genome " << genomes[i].key() << " layer " << li;
+      EXPECT_EQ(scalar.layer(li).bias, native[i].layer(li).bias)
+          << "genome " << genomes[i].key() << " layer " << li;
+    }
+  }
+  simd::reset_dense_kernels();
+  // Pinned fine-tuning output.  Campaign stores are keyed by
+  // eval_fingerprint, whose finetune_math token names the trainer math: a
+  // change that moves this digest changes what stored results mean, so it
+  // must also change that token (core/campaign.cpp) — never just the
+  // number here.
+  EXPECT_EQ(digest, 0xbaa3b899a787f3a2ULL) << std::hex << "digest 0x" << digest;
 }
 
 TEST(Eval, CachedCountsHitsAndMissesExactly) {

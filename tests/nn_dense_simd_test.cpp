@@ -1,6 +1,7 @@
 /// Tests for nn/dense_simd.hpp: the determinism contract (every compiled
-/// vector table agrees bit-for-bit with the scalar semantics on all seven
-/// kernels) and the sample-blocked backprop path's equivalence to the
+/// vector table agrees bit-for-bit with the scalar semantics on every
+/// kernel), the sample-blocked backprop path's bit identity with the
+/// per-lane fast softmax it replaced, and its equivalence to the
 /// per-sample reference within float tolerance (different reduction
 /// orders, so near-equality — the accuracy-neutral contract).
 
@@ -8,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "pnm/data/dataset.hpp"
+#include "pnm/nn/fastmath.hpp"
 #include "pnm/nn/mlp.hpp"
 #include "pnm/nn/trainer.hpp"
 #include "pnm/util/rng.hpp"
@@ -33,6 +38,17 @@ void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& 
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "lane " << i;
+  }
+}
+
+/// Equality of bit patterns: tells +0 from -0 (the fake-quant kernels must
+/// produce llround's +0 code), which == does not.
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i]))
+        << what << " [" << i << "]: " << a[i] << " vs " << b[i];
   }
 }
 
@@ -134,7 +150,170 @@ TEST(DenseSimd, BlockKernelsBitIdenticalAcrossTables) {
         expect_bits_equal(prev0, prev1);
       }
     }
+
+    // softmax_xent8 over partial and full blocks, with tied maxima and
+    // logit gaps past fast_exp's flush-to-zero threshold.
+    for (std::size_t lanes : {1u, 3u, 7u, 8u}) {
+      for (std::size_t n_out : {1u, 2u, 3u, 10u}) {
+        std::vector<double> z = random_vec(rng, n_out * kB, 3.0);
+        std::vector<unsigned long> labels(kB, 0);
+        for (std::size_t j = 0; j < kB; ++j) {
+          labels[j] = rng.uniform_int(n_out);
+          if (n_out < 2) continue;
+          if (j % 3 == 0) z[(n_out - 1) * kB + j] = z[j] = 40.0;  // tied maximum
+          if (j % 3 == 1) z[j] = z[kB + j] - 708.5;             // flushes to 0
+          if (j % 3 == 2) z[kB + j] = z[j] - 1000.0;
+        }
+        std::vector<double> d0(n_out * kB, 9.0), d1(n_out * kB, -9.0);
+        const double loss0 =
+            scalar->softmax_xent8(z.data(), labels.data(), lanes, n_out, d0.data());
+        const double loss1 =
+            table->softmax_xent8(z.data(), labels.data(), lanes, n_out, d1.data());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(loss0), std::bit_cast<std::uint64_t>(loss1))
+            << "softmax loss lanes=" << lanes << " n_out=" << n_out;
+        expect_same_bits(d0, d1, "softmax delta");
+        for (std::size_t r = 0; r < n_out; ++r) {
+          for (std::size_t j = lanes; j < kB; ++j) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(d1[r * kB + j]), 0U)
+                << "padding lane " << j << " row " << r;
+          }
+        }
+      }
+    }
+
+    // exp across the clamps and the flush-to-zero edge; odd lengths
+    // exercise the scalar tails.
+    std::vector<double> x = {-std::numeric_limits<double>::infinity(),
+                             -800.0, -708.0000001, -708.0, -707.99, -0.0, 0.0,
+                             1e-300, 0.5, 709.78, 709.7827128933841, 709.79,
+                             800.0, std::numeric_limits<double>::infinity()};
+    for (int i = 0; i < 61; ++i) x.push_back(rng.uniform(-750.0, 750.0));
+    for (std::size_t n : {x.size(), x.size() - 1, std::size_t{3}}) {
+      std::vector<double> e0(n), e1(n);
+      scalar->exp(x.data(), e0.data(), n);
+      table->exp(x.data(), e1.data(), n);
+      expect_same_bits(e0, e1, "exp");
+    }
+
+    // fake_quant: exact +-k.5 ties (power-of-two scale keeps w/scale
+    // exact), codes at and past +-qmax, small negatives that round to a
+    // +0 code, and tail lengths not divisible by 4.
+    for (int bits : {2, 3, 4, 8, 16}) {
+      const long qmax = (1L << (bits - 1)) - 1;
+      for (double scale : {0.25, 0.0123}) {
+        std::vector<double> w;
+        for (long k = -qmax - 2; k <= qmax + 2; k += (qmax > 16 ? qmax / 4 : 1)) {
+          w.push_back(static_cast<double>(k) * scale);
+          w.push_back((static_cast<double>(k) + 0.5) * scale);
+          w.push_back((static_cast<double>(k) - 0.5) * scale);
+        }
+        w.push_back(static_cast<double>(qmax) * scale);
+        w.push_back(-static_cast<double>(qmax) * scale);
+        w.push_back(-0.3 * scale);
+        w.push_back(-0.0);
+        for (int i = 0; i < 13; ++i) w.push_back(rng.normal() * scale * qmax);
+        for (std::size_t n : {w.size(), w.size() - 1, w.size() - 2, w.size() - 3}) {
+          std::vector<double> q0(n), q1(n);
+          scalar->fake_quant(w.data(), q0.data(), n, scale, qmax);
+          table->fake_quant(w.data(), q1.data(), n, scale, qmax);
+          expect_same_bits(q0, q1, "fake_quant");
+        }
+      }
+    }
+
+    for (std::size_t n : {1u, 3u, 4u, 6u, 9u, 33u}) {
+      std::vector<double> v = random_vec(rng, n);
+      v[n / 2] = -0.0;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar->abs_max(v.data(), n)),
+                std::bit_cast<std::uint64_t>(table->abs_max(v.data(), n)))
+          << "abs_max n=" << n;
+    }
   }
+}
+
+/// The parent formulation of backprop_block's loss: gather each lane's
+/// logits and call the per-sample softmax_cross_entropy_fast, scattering
+/// its gradient back.  Forward and backward go through the same block
+/// kernels, so the lane-parallel softmax must reproduce this bit for bit.
+double reference_backprop_block(const Mlp& model, const Dataset& train,
+                                const std::size_t* idx, std::size_t lanes,
+                                Gradients& grads) {
+  const auto& kernels = simd::dense_kernels();
+  const std::size_t n_layers = model.layer_count();
+  std::vector<std::vector<double>> acts(n_layers + 1);
+  acts[0].assign(model.input_size() * kB, 0.0);
+  for (std::size_t j = 0; j < lanes; ++j) {
+    const auto& x = train.x[idx[j]];
+    for (std::size_t f = 0; f < x.size(); ++f) acts[0][f * kB + j] = x[f];
+  }
+  for (std::size_t li = 0; li < n_layers; ++li) {
+    const auto& layer = model.layer(li);
+    acts[li + 1].resize(layer.out_features() * kB);
+    kernels.layer_fwd8(layer.weights.raw().data(), layer.bias.data(),
+                       acts[li].data(), acts[li + 1].data(),
+                       layer.out_features(), layer.in_features());
+    apply_activation(layer.act, acts[li + 1]);
+  }
+  const std::size_t n_out = model.output_size();
+  std::vector<double> delta(n_out * kB, 0.0);
+  std::vector<double> logits(n_out), grad;
+  double loss = 0.0;
+  for (std::size_t j = 0; j < lanes; ++j) {
+    for (std::size_t r = 0; r < n_out; ++r) logits[r] = acts[n_layers][r * kB + j];
+    loss += softmax_cross_entropy_fast(logits, train.y[idx[j]], &grad);
+    for (std::size_t r = 0; r < n_out; ++r) delta[r * kB + j] = grad[r];
+  }
+  apply_activation_grad(model.layers().back().act, acts[n_layers], delta);
+  for (std::size_t li = n_layers; li-- > 0;) {
+    const auto& layer = model.layer(li);
+    kernels.layer_grad8(delta.data(), acts[li].data(), grads.w[li].raw().data(),
+                        grads.b[li].data(), layer.out_features(), layer.in_features());
+    if (li == 0) break;
+    std::vector<double> prev(layer.in_features() * kB, 0.0);
+    kernels.layer_back8(layer.weights.raw().data(), delta.data(), prev.data(),
+                        layer.out_features(), layer.in_features());
+    apply_activation_grad(model.layer(li - 1).act, acts[li], prev);
+    delta.swap(prev);
+  }
+  return loss;
+}
+
+TEST(DenseSimd, BlockedBackpropBitIdenticalToPerLaneFastSoftmax) {
+  Rng rng(31);
+  Mlp model({6, 7, 10}, rng);
+  Dataset data;
+  data.name = "lane-softmax-reference";
+  data.n_classes = 10;
+  for (std::size_t i = 0; i < 23; ++i) {
+    data.x.push_back(random_vec(rng, 6, 2.0));
+    data.y.push_back(i % 10);
+  }
+  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
+  for (simd::Isa isa : {simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    if (simd::dense_kernels_for(isa) != nullptr) isas.push_back(isa);
+  }
+  for (simd::Isa isa : isas) {
+    simd::force_dense_kernels(isa);
+    for (std::size_t lanes : {1u, 3u, 7u, 8u}) {
+      std::vector<std::size_t> idx(lanes);
+      for (std::size_t j = 0; j < lanes; ++j) idx[j] = (j * 7 + 2) % data.x.size();
+
+      Gradients ref = Gradients::zeros_like(model);
+      const double ref_loss =
+          reference_backprop_block(model, data, idx.data(), lanes, ref);
+      Gradients got = Gradients::zeros_like(model);
+      BlockBackpropScratch scratch;
+      const double loss = backprop_block(model, data, idx.data(), lanes, got, scratch);
+
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(loss), std::bit_cast<std::uint64_t>(ref_loss))
+          << simd::isa_name(isa) << " lanes " << lanes;
+      for (std::size_t li = 0; li < model.layer_count(); ++li) {
+        expect_same_bits(got.w[li].raw(), ref.w[li].raw(), "weight gradient");
+        expect_same_bits(got.b[li], ref.b[li], "bias gradient");
+      }
+    }
+  }
+  simd::reset_dense_kernels();
 }
 
 TEST(DenseSimd, ForceAndResetSwitchTables) {
