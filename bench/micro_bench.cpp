@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -336,6 +337,135 @@ struct InferBenchRecord {
   double speedup_vs_single_sample = 1.0;
 };
 
+// ---- Trainer block kernels (trainer_kernels rows in BENCH_infer.json) ----
+// A third record family times one 8-sample block of each dense_simd block
+// kernel (layer_fwd8, layer_grad8, layer_back8, softmax_xent8) at every
+// layer shape of the four paper topologies, on the scalar table and on the
+// active native table.  The two tables must agree bit for bit on every
+// kernel and shape (the determinism contract); a mismatch fails the bench.
+
+struct TrainerTopology {
+  const char* dataset;
+  std::vector<unsigned long> sizes;  ///< inputs, hidden..., classes
+};
+
+/// Fastest of five timed runs of `reps` calls, in ns per call.
+template <class Body>
+double ns_per_call(int reps, Body&& body) {
+  double best = 0.0;
+  for (int run = 0; run < 5; ++run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < reps; ++i) body();
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count() / reps;
+    if (run == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+/// Appends the trainer_kernels rows (each preceded by ",\n") to `json`;
+/// returns false when a native kernel's output differs from the scalar
+/// table's.
+bool write_trainer_kernel_rows(std::ostream& json, std::size_t machine_cores) {
+  using simd::DenseKernels;
+  constexpr unsigned long kB = simd::kDenseBlock;
+  constexpr int kReps = 4000;
+  const std::vector<TrainerTopology> topologies = {
+      {"seeds", {7, 4, 3}},
+      {"redwine", {11, 6, 6}},
+      {"whitewine", {11, 8, 7}},
+      {"pendigits", {16, 10, 10}},
+  };
+  const DenseKernels& scalar = *simd::dense_kernels_for(simd::Isa::kScalar);
+  const simd::Isa isa = simd::active_isa();
+  const DenseKernels* native =
+      isa != simd::Isa::kScalar ? simd::dense_kernels_for(isa) : nullptr;
+  Rng rng(29);
+  const auto random_vec = [&rng](std::size_t n) {
+    std::vector<double> v(n);
+    for (double& e : v) e = rng.normal();
+    return v;
+  };
+
+  bool all_exact = true;
+  std::cout << "  trainer_kernels: ns per 8-sample block (scalar"
+            << (native != nullptr ? std::string(" / ") + simd::isa_name(isa) : "")
+            << ")\n";
+  // run(table, out) calls one kernel of `table`, writing into `out`, which
+  // starts as a copy of `init`.  The native result must equal the scalar
+  // one bit for bit; then each table is timed on its own copy.
+  const auto measure = [&](const char* dataset, const char* kernel, unsigned long rows,
+                           unsigned long cols, const std::vector<double>& init,
+                           auto&& run) {
+    std::vector<double> out_s = init, out_v = init;
+    run(scalar, out_s);
+    if (native != nullptr) run(*native, out_v);
+    const bool exact = native == nullptr ||
+                       std::memcmp(out_s.data(), out_v.data(),
+                                   out_s.size() * sizeof(double)) == 0;
+    all_exact = all_exact && exact;
+    const auto time = [&](const DenseKernels& t, std::vector<double>& out) {
+      return ns_per_call(kReps, [&] {
+        run(t, out);
+        benchmark::ClobberMemory();
+      });
+    };
+    const double ns_scalar = time(scalar, out_s);
+    std::cout << "    " << dataset << ' ' << kernel << ' ' << rows << 'x' << cols
+              << ": " << ns_scalar;
+    const auto emit = [&](const char* row_isa, double ns) {
+      json << ",\n  {\"bench\": \"trainer_kernels\", \"dataset\": \"" << dataset
+           << "\", \"kernel\": \"" << kernel << "\", \"rows\": " << rows
+           << ", \"cols\": " << cols << ", \"isa\": \"" << row_isa
+           << "\", \"machine_cores\": " << machine_cores
+           << ", \"ns_per_block\": " << ns << ", \"speedup_vs_scalar\": " << ns_scalar / ns
+           << ", \"bit_exact\": " << (exact ? "true" : "false") << "}";
+    };
+    emit(simd::isa_name(simd::Isa::kScalar), ns_scalar);
+    if (native != nullptr) {
+      const double ns_native = time(*native, out_v);
+      std::cout << " / " << ns_native << " (" << ns_scalar / ns_native << "x)";
+      emit(simd::isa_name(isa), ns_native);
+    }
+    std::cout << (exact ? "" : "  NOT BIT-EXACT (BUG)") << '\n';
+  };
+
+  for (const TrainerTopology& topo : topologies) {
+    for (std::size_t li = 0; li + 1 < topo.sizes.size(); ++li) {
+      const unsigned long cols = topo.sizes[li];
+      const unsigned long rows = topo.sizes[li + 1];
+      const std::vector<double> w = random_vec(rows * cols);
+      const std::vector<double> bias = random_vec(rows);
+      const std::vector<double> in = random_vec(cols * kB);
+      const std::vector<double> delta = random_vec(rows * kB);
+      measure(topo.dataset, "layer_fwd8", rows, cols, std::vector<double>(rows * kB),
+              [&](const DenseKernels& t, std::vector<double>& out) {
+                t.layer_fwd8(w.data(), bias.data(), in.data(), out.data(), rows, cols);
+              });
+      // gw and gb share one buffer: rows*cols weights, then rows biases.
+      measure(topo.dataset, "layer_grad8", rows, cols, random_vec(rows * cols + rows),
+              [&](const DenseKernels& t, std::vector<double>& out) {
+                t.layer_grad8(delta.data(), in.data(), out.data(), out.data() + rows * cols,
+                              rows, cols);
+              });
+      measure(topo.dataset, "layer_back8", rows, cols, std::vector<double>(cols * kB),
+              [&](const DenseKernels& t, std::vector<double>& out) {
+                t.layer_back8(w.data(), delta.data(), out.data(), rows, cols);
+              });
+    }
+    // Softmax over the output layer's logits; the loss lands after delta.
+    const unsigned long n_out = topo.sizes.back();
+    const std::vector<double> z = random_vec(n_out * kB);
+    std::vector<unsigned long> labels(kB);
+    for (unsigned long j = 0; j < kB; ++j) labels[j] = j % n_out;
+    measure(topo.dataset, "softmax_xent8", n_out, kB, std::vector<double>(n_out * kB + 1),
+            [&](const DenseKernels& t, std::vector<double>& out) {
+              out[n_out * kB] = t.softmax_xent8(z.data(), labels.data(), kB, n_out, out.data());
+            });
+  }
+  return all_exact;
+}
+
 bool run_infer_throughput_bench(const std::string& json_path) {
   auto& flow = bench_flow();
   const std::size_t machine_cores = ThreadPool::default_thread_count();
@@ -593,14 +723,17 @@ bool run_infer_throughput_bench(const std::string& json_path) {
     ft_row("scalar_libm", scalar_name, sec_ft_base, mean_base);
     ft_row("simd_fast", active_name, sec_ft_simd, mean_simd);
   }
+  const bool kernels_exact = write_trainer_kernel_rows(json, machine_cores);
   json << "\n]\n";
 
   std::cout << "  bit-exact vs seed path: " << (bit_exact ? "yes" : "NO (BUG)")
             << ", all engine accuracies agree: "
             << (modes_agree ? "yes" : "NO (BUG)") << ", front quality: "
-            << (ft_quality_ok ? "ok" : "NO (BUG)") << '\n';
+            << (ft_quality_ok ? "ok" : "NO (BUG)") << ", trainer kernels bit-exact: "
+            << (kernels_exact ? "yes" : "NO (BUG)") << '\n';
   std::cout << "(wrote " << json_path << ")\n";
-  return bit_exact && modes_agree && speed_ok && ft_quality_ok && ft_speed_ok;
+  return bit_exact && modes_agree && speed_ok && ft_quality_ok && ft_speed_ok &&
+         kernels_exact;
 }
 
 // ---- MCM adder-graph sharing (BENCH_mcm.json) ---------------------------

@@ -22,10 +22,18 @@
 ///    order, combined as (c0+c1)+(c2+c3).  The scalar fallback implements
 ///    exactly this order, and the vector kernels map chain j to lane j —
 ///    so scalar, AVX2, and NEON agree bit-for-bit.
+///  * The block kernels (layer_fwd8 / layer_grad8 / layer_back8) may tile
+///    rows or columns, but a tile only interleaves independent chains:
+///    each lane of each output still sums in the scalar order (bias, then
+///    c ascending; sum8's tree per weight; prev += w*delta with r
+///    ascending, each add rounded on its own), and rows or columns left
+///    over after the last full tile run the one-row loop.  Tiling changes
+///    which loads are shared, never an operand or an order.
 ///  * exp / softmax_xent8 / fake_quant are elementwise or per-lane too:
 ///    the vector kernels rebuild floor, llround's half-away-from-zero
-///    rounding and fast_exp's 2^k exponent assembly from exact
-///    operations, so they match the scalar definitions bit for bit.
+///    rounding, fast_exp's 2^k exponent assembly and fast_log's exponent
+///    extraction from exact operations, so they match the scalar
+///    definitions bit for bit.
 ///    abs_max reduces with max, which is order-independent.
 ///  * No FMA anywhere (the build pins -ffp-contract=off on these TUs and
 ///    on nn/fastmath.cpp): a fused multiply-add rounds once where mul+add
@@ -103,8 +111,9 @@ struct DenseKernels {
   ///   e_r = fast_exp(z_r - m);  s = sum_r e_r with r ascending
   ///   delta[r*8+j] = e_r * (1/s);  delta[y*8+j] -= 1
   ///   loss_j = fast_log(s) - (z_y - m)
-  /// Padding lanes (j >= lanes) get delta exactly 0.  Returns the loss
-  /// summed over lanes with j ascending.  Labels must be < n_out.
+  /// (the vector tables take fast_log on all lanes at once, by its vector
+  /// form).  Padding lanes (j >= lanes) get delta exactly 0.  Returns the
+  /// loss summed over lanes with j ascending.  Labels must be < n_out.
   double (*softmax_xent8)(const double* z, const unsigned long* labels,
                           unsigned long lanes, unsigned long n_out,
                           double* delta);

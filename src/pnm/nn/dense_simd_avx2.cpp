@@ -48,11 +48,36 @@ void axpy_avx2(double* y, const double* x, double s, unsigned long n) {
 
 // ---- sample-blocked (8-lane SoA) trainer kernels --------------------------
 // 8 doubles = two __m256d; every lane is an independent mul+add chain, so
-// these are bit-identical to the scalar loops.
+// these are bit-identical to the scalar loops.  The tiles only interleave
+// independent chains: 4 rows share each input or prev load, 4 columns
+// share one reduction; per lane and per element the order is unchanged.
+
+constexpr unsigned long kTile = 4;
 
 void layer_fwd8_avx2(const double* w, const double* bias, const double* in,
                      double* out, unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
+  unsigned long r = 0;
+  // 4-row tiles: 8 independent accumulator chains hide the add latency.
+  for (; r + kTile <= rows; r += kTile) {
+    __m256d lo[kTile], hi[kTile];
+    for (unsigned long k = 0; k < kTile; ++k) lo[k] = hi[k] = _mm256_set1_pd(bias[r + k]);
+    const double* wr = w + r * cols;
+    for (unsigned long c = 0; c < cols; ++c) {
+      const double* xv = in + c * kDenseBlock;
+      const __m256d x_lo = _mm256_loadu_pd(xv);
+      const __m256d x_hi = _mm256_loadu_pd(xv + 4);
+      for (unsigned long k = 0; k < kTile; ++k) {
+        const __m256d wc = _mm256_set1_pd(wr[k * cols + c]);
+        lo[k] = _mm256_add_pd(lo[k], _mm256_mul_pd(wc, x_lo));
+        hi[k] = _mm256_add_pd(hi[k], _mm256_mul_pd(wc, x_hi));
+      }
+    }
+    for (unsigned long k = 0; k < kTile; ++k) {
+      _mm256_storeu_pd(out + (r + k) * kDenseBlock, lo[k]);
+      _mm256_storeu_pd(out + (r + k) * kDenseBlock + 4, hi[k]);
+    }
+  }
+  for (; r < rows; ++r) {
     __m256d acc_lo = _mm256_set1_pd(bias[r]);
     __m256d acc_hi = acc_lo;
     const double* wr = w + r * cols;
@@ -80,6 +105,12 @@ inline double sum8_avx2(__m256d lo, __m256d hi) {
   return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
 
+// The chains q = lo + hi of one column, for the 4-column reduction below.
+inline __m256d chains8_avx2(__m256d d_lo, __m256d d_hi, const double* xv) {
+  return _mm256_add_pd(_mm256_mul_pd(d_lo, _mm256_loadu_pd(xv)),
+                       _mm256_mul_pd(d_hi, _mm256_loadu_pd(xv + 4)));
+}
+
 void layer_grad8_avx2(const double* delta, const double* in, double* gw,
                       double* gb, unsigned long rows, unsigned long cols) {
   for (unsigned long r = 0; r < rows; ++r) {
@@ -88,7 +119,22 @@ void layer_grad8_avx2(const double* delta, const double* in, double* gw,
     const __m256d d_hi = _mm256_loadu_pd(dv + 4);
     gb[r] += sum8_avx2(d_lo, d_hi);
     double* gwr = gw + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
+    unsigned long c = 0;
+    // 4 columns A..D reduced at once: hadd gives (A0+A1, B0+B1, A2+A3,
+    // B2+B3) and (C0+C1, D0+D1, C2+C3, D2+D3); the two 128-bit permutes
+    // line up each column's (q0+q1) against its (q2+q3), and one add makes
+    // (q0+q1)+(q2+q3) for all four — sum8's tree, column by column.
+    for (; c + kTile <= cols; c += kTile) {
+      const double* xv = in + c * kDenseBlock;
+      const __m256d ab = _mm256_hadd_pd(chains8_avx2(d_lo, d_hi, xv),
+                                        chains8_avx2(d_lo, d_hi, xv + kDenseBlock));
+      const __m256d cd = _mm256_hadd_pd(chains8_avx2(d_lo, d_hi, xv + 2 * kDenseBlock),
+                                        chains8_avx2(d_lo, d_hi, xv + 3 * kDenseBlock));
+      const __m256d sums = _mm256_add_pd(_mm256_permute2f128_pd(ab, cd, 0x20),
+                                         _mm256_permute2f128_pd(ab, cd, 0x31));
+      _mm256_storeu_pd(gwr + c, _mm256_add_pd(_mm256_loadu_pd(gwr + c), sums));
+    }
+    for (; c < cols; ++c) {
       const double* xv = in + c * kDenseBlock;
       gwr[c] += sum8_avx2(_mm256_mul_pd(d_lo, _mm256_loadu_pd(xv)),
                           _mm256_mul_pd(d_hi, _mm256_loadu_pd(xv + 4)));
@@ -98,7 +144,30 @@ void layer_grad8_avx2(const double* delta, const double* in, double* gw,
 
 void layer_back8_avx2(const double* w, const double* delta, double* prev,
                       unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
+  unsigned long r = 0;
+  // 4-row tiles: each prev block is loaded and stored once per 4 rows; the
+  // rows' w*delta terms are still added one at a time, r ascending.
+  for (; r + kTile <= rows; r += kTile) {
+    __m256d d_lo[kTile], d_hi[kTile];
+    for (unsigned long k = 0; k < kTile; ++k) {
+      d_lo[k] = _mm256_loadu_pd(delta + (r + k) * kDenseBlock);
+      d_hi[k] = _mm256_loadu_pd(delta + (r + k) * kDenseBlock + 4);
+    }
+    const double* wr = w + r * cols;
+    for (unsigned long c = 0; c < cols; ++c) {
+      double* pv = prev + c * kDenseBlock;
+      __m256d p_lo = _mm256_loadu_pd(pv);
+      __m256d p_hi = _mm256_loadu_pd(pv + 4);
+      for (unsigned long k = 0; k < kTile; ++k) {
+        const __m256d wc = _mm256_set1_pd(wr[k * cols + c]);
+        p_lo = _mm256_add_pd(p_lo, _mm256_mul_pd(wc, d_lo[k]));
+        p_hi = _mm256_add_pd(p_hi, _mm256_mul_pd(wc, d_hi[k]));
+      }
+      _mm256_storeu_pd(pv, p_lo);
+      _mm256_storeu_pd(pv + 4, p_hi);
+    }
+  }
+  for (; r < rows; ++r) {
     const double* dv = delta + r * kDenseBlock;
     const __m256d d_lo = _mm256_loadu_pd(dv);
     const __m256d d_hi = _mm256_loadu_pd(dv + 4);
@@ -208,6 +277,39 @@ inline __m256d fast_exp_avx2(__m256d x) {
   return _mm256_andnot_pd(_mm256_cmp_pd(x, under, _CMP_LT_OQ), e);
 }
 
+// fast_log on 4 lanes (x > 0, finite).  The biased exponent field, or-ed
+// into the low mantissa bits of 2^52, minus 2^52 + 1023 is e as an exact
+// double; then the scalar fold (m > sqrt2: m*0.5, e+1), t = (m-1)/(m+1),
+// the Horner chain on t^2, (2*t)*p and (... + e*Ln2Lo) + e*Ln2Hi.
+inline __m256d fast_log_avx2(__m256d x) {
+  using namespace fast_exp_constants;
+  using namespace fast_log_constants;
+  const __m256i bits = _mm256_castpd_si256(x);
+  const __m256i mant_mask = _mm256_set1_epi64x(0xFFFFFFFFFFFFFLL);
+  const __m256i exp_field =
+      _mm256_and_si256(_mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(0x7FF));
+  __m256d e = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          exp_field, _mm256_set1_epi64x(static_cast<long long>(kTwo52Bits)))),
+      _mm256_set1_pd(kExpBias));
+  __m256d m = _mm256_castsi256_pd(
+      _mm256_or_si256(_mm256_and_si256(bits, mant_mask),
+                      _mm256_castpd_si256(_mm256_set1_pd(1.0))));
+  const __m256d fold = _mm256_cmp_pd(m, _mm256_set1_pd(kSqrt2), _CMP_GT_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, _mm256_set1_pd(0.5)), fold);
+  e = _mm256_blendv_pd(e, _mm256_add_pd(e, _mm256_set1_pd(1.0)), fold);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d t = _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+  const __m256d t2 = _mm256_mul_pd(t, t);
+  __m256d p = _mm256_set1_pd(kAtanh[0]);
+  for (int i = 1; i < 7; ++i) {
+    p = _mm256_add_pd(_mm256_mul_pd(p, t2), _mm256_set1_pd(kAtanh[i]));
+  }
+  const __m256d series = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), t), p);
+  return _mm256_add_pd(_mm256_add_pd(series, _mm256_mul_pd(e, _mm256_set1_pd(kLn2Lo))),
+                       _mm256_mul_pd(e, _mm256_set1_pd(kLn2Hi)));
+}
+
 void exp_avx2(const double* x, double* out, unsigned long n) {
   unsigned long i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -219,8 +321,8 @@ void exp_avx2(const double* x, double* out, unsigned long n) {
 // Lanes 0..3 live in the low register, 4..7 in the high one.  The max
 // keeps the running value unless the new logit is strictly greater
 // (vmaxpd returns its second operand on ties and NaN), the sum runs over
-// r ascending per lane, and the per-lane tail (label, log, loss) is
-// scalar in lane order.
+// r ascending per lane, fast_log runs on all 8 lanes, and the per-lane
+// tail (label, loss) is scalar in lane order.
 double softmax_xent8_avx2(const double* z, const unsigned long* labels,
                           unsigned long lanes, unsigned long n_out,
                           double* delta) {
@@ -249,16 +351,16 @@ double softmax_xent8_avx2(const double* z, const unsigned long* labels,
     _mm256_storeu_pd(dr, _mm256_mul_pd(_mm256_loadu_pd(dr), inv_lo));
     _mm256_storeu_pd(dr + 4, _mm256_mul_pd(_mm256_loadu_pd(dr + 4), inv_hi));
   }
-  double m[kDenseBlock], s[kDenseBlock];
+  double m[kDenseBlock], log_s[kDenseBlock];
   _mm256_storeu_pd(m, m_lo);
   _mm256_storeu_pd(m + 4, m_hi);
-  _mm256_storeu_pd(s, s_lo);
-  _mm256_storeu_pd(s + 4, s_hi);
+  _mm256_storeu_pd(log_s, fast_log_avx2(s_lo));
+  _mm256_storeu_pd(log_s + 4, fast_log_avx2(s_hi));
   double loss = 0.0;
   for (unsigned long j = 0; j < lanes; ++j) {
     const unsigned long y = labels[j];
     delta[y * kDenseBlock + j] -= 1.0;
-    loss += fast_log(s[j]) - (z[y * kDenseBlock + j] - m[j]);
+    loss += log_s[j] - (z[y * kDenseBlock + j] - m[j]);
   }
   for (unsigned long j = lanes; j < kDenseBlock; ++j) {
     for (unsigned long r = 0; r < n_out; ++r) delta[r * kDenseBlock + j] = 0.0;

@@ -47,11 +47,42 @@ void axpy_neon(double* y, const double* x, double s, unsigned long n) {
 
 // ---- sample-blocked (8-lane SoA) trainer kernels --------------------------
 // 8 doubles = four float64x2; every lane is an independent mul+add chain,
-// so these are bit-identical to the scalar loops.
+// so these are bit-identical to the scalar loops.  The tiles only
+// interleave independent chains: 4 rows share each input or prev load, 4
+// columns share one reduction; per lane and per element the order is
+// unchanged.
+
+constexpr unsigned long kTile = 4;
+constexpr unsigned long kRegs = kDenseBlock / 2;  // float64x2 per 8 lanes
 
 void layer_fwd8_neon(const double* w, const double* bias, const double* in,
                      double* out, unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
+  unsigned long r = 0;
+  // 4-row tiles: 16 independent accumulator chains hide the add latency.
+  for (; r + kTile <= rows; r += kTile) {
+    float64x2_t acc[kTile][kRegs];
+    for (unsigned long k = 0; k < kTile; ++k) {
+      for (unsigned long q = 0; q < kRegs; ++q) acc[k][q] = vdupq_n_f64(bias[r + k]);
+    }
+    const double* wr = w + r * cols;
+    for (unsigned long c = 0; c < cols; ++c) {
+      const double* xv = in + c * kDenseBlock;
+      float64x2_t x[kRegs];
+      for (unsigned long q = 0; q < kRegs; ++q) x[q] = vld1q_f64(xv + 2 * q);
+      for (unsigned long k = 0; k < kTile; ++k) {
+        const float64x2_t wc = vdupq_n_f64(wr[k * cols + c]);
+        for (unsigned long q = 0; q < kRegs; ++q) {
+          acc[k][q] = vaddq_f64(acc[k][q], vmulq_f64(wc, x[q]));
+        }
+      }
+    }
+    for (unsigned long k = 0; k < kTile; ++k) {
+      for (unsigned long q = 0; q < kRegs; ++q) {
+        vst1q_f64(out + (r + k) * kDenseBlock + 2 * q, acc[k][q]);
+      }
+    }
+  }
+  for (; r < rows; ++r) {
     float64x2_t a0 = vdupq_n_f64(bias[r]);
     float64x2_t a1 = a0, a2 = a0, a3 = a0;
     const double* wr = w + r * cols;
@@ -81,29 +112,74 @@ inline double sum8_neon(float64x2_t p01, float64x2_t p23, float64x2_t p45,
          (vgetq_lane_f64(q23, 0) + vgetq_lane_f64(q23, 1));
 }
 
+// One column's chains (q0,q1) and (q2,q3), for the 4-column reduction below.
+struct Chains8 {
+  float64x2_t q01, q23;
+};
+inline Chains8 chains8_neon(const float64x2_t d[kRegs], const double* xv) {
+  return {vaddq_f64(vmulq_f64(d[0], vld1q_f64(xv)), vmulq_f64(d[2], vld1q_f64(xv + 4))),
+          vaddq_f64(vmulq_f64(d[1], vld1q_f64(xv + 2)), vmulq_f64(d[3], vld1q_f64(xv + 6)))};
+}
+
 void layer_grad8_neon(const double* delta, const double* in, double* gw,
                       double* gb, unsigned long rows, unsigned long cols) {
   for (unsigned long r = 0; r < rows; ++r) {
     const double* dv = delta + r * kDenseBlock;
-    const float64x2_t d01 = vld1q_f64(dv);
-    const float64x2_t d23 = vld1q_f64(dv + 2);
-    const float64x2_t d45 = vld1q_f64(dv + 4);
-    const float64x2_t d67 = vld1q_f64(dv + 6);
-    gb[r] += sum8_neon(d01, d23, d45, d67);
+    float64x2_t d[kRegs];
+    for (unsigned long q = 0; q < kRegs; ++q) d[q] = vld1q_f64(dv + 2 * q);
+    gb[r] += sum8_neon(d[0], d[1], d[2], d[3]);
     double* gwr = gw + r * cols;
-    for (unsigned long c = 0; c < cols; ++c) {
+    unsigned long c = 0;
+    // 4 columns A..D reduced pairwise: vpaddq(A.q01, B.q01) is
+    // (A0+A1, B0+B1), vpaddq(A.q23, B.q23) is (A2+A3, B2+B3), and one add
+    // makes (q0+q1)+(q2+q3) for both — sum8's tree, column by column.
+    for (; c + kTile <= cols; c += kTile) {
       const double* xv = in + c * kDenseBlock;
-      gwr[c] += sum8_neon(vmulq_f64(d01, vld1q_f64(xv)),
-                          vmulq_f64(d23, vld1q_f64(xv + 2)),
-                          vmulq_f64(d45, vld1q_f64(xv + 4)),
-                          vmulq_f64(d67, vld1q_f64(xv + 6)));
+      for (unsigned long h = 0; h < kTile; h += 2) {
+        const Chains8 a = chains8_neon(d, xv + h * kDenseBlock);
+        const Chains8 b = chains8_neon(d, xv + (h + 1) * kDenseBlock);
+        const float64x2_t sums =
+            vaddq_f64(vpaddq_f64(a.q01, b.q01), vpaddq_f64(a.q23, b.q23));
+        vst1q_f64(gwr + c + h, vaddq_f64(vld1q_f64(gwr + c + h), sums));
+      }
+    }
+    for (; c < cols; ++c) {
+      const double* xv = in + c * kDenseBlock;
+      gwr[c] += sum8_neon(vmulq_f64(d[0], vld1q_f64(xv)),
+                          vmulq_f64(d[1], vld1q_f64(xv + 2)),
+                          vmulq_f64(d[2], vld1q_f64(xv + 4)),
+                          vmulq_f64(d[3], vld1q_f64(xv + 6)));
     }
   }
 }
 
 void layer_back8_neon(const double* w, const double* delta, double* prev,
                       unsigned long rows, unsigned long cols) {
-  for (unsigned long r = 0; r < rows; ++r) {
+  unsigned long r = 0;
+  // 4-row tiles: each prev block is loaded and stored once per 4 rows; the
+  // rows' w*delta terms are still added one at a time, r ascending.
+  for (; r + kTile <= rows; r += kTile) {
+    float64x2_t d[kTile][kRegs];
+    for (unsigned long k = 0; k < kTile; ++k) {
+      for (unsigned long q = 0; q < kRegs; ++q) {
+        d[k][q] = vld1q_f64(delta + (r + k) * kDenseBlock + 2 * q);
+      }
+    }
+    const double* wr = w + r * cols;
+    for (unsigned long c = 0; c < cols; ++c) {
+      double* pv = prev + c * kDenseBlock;
+      float64x2_t p[kRegs];
+      for (unsigned long q = 0; q < kRegs; ++q) p[q] = vld1q_f64(pv + 2 * q);
+      for (unsigned long k = 0; k < kTile; ++k) {
+        const float64x2_t wc = vdupq_n_f64(wr[k * cols + c]);
+        for (unsigned long q = 0; q < kRegs; ++q) {
+          p[q] = vaddq_f64(p[q], vmulq_f64(wc, d[k][q]));
+        }
+      }
+      for (unsigned long q = 0; q < kRegs; ++q) vst1q_f64(pv + 2 * q, p[q]);
+    }
+  }
+  for (; r < rows; ++r) {
     const double* dv = delta + r * kDenseBlock;
     const float64x2_t d01 = vld1q_f64(dv);
     const float64x2_t d23 = vld1q_f64(dv + 2);
@@ -211,6 +287,34 @@ inline float64x2_t fast_exp_neon(float64x2_t x) {
       vbicq_u64(vreinterpretq_u64_f64(e), vcltq_f64(x, under)));
 }
 
+// fast_log on 2 lanes (x > 0, finite).  The biased exponent field, or-ed
+// into the low mantissa bits of 2^52, minus 2^52 + 1023 is e as an exact
+// double; then the scalar fold (m > sqrt2: m*0.5, e+1), t = (m-1)/(m+1),
+// the Horner chain on t^2, (2*t)*p and (... + e*Ln2Lo) + e*Ln2Hi.
+inline float64x2_t fast_log_neon(float64x2_t x) {
+  using namespace fast_exp_constants;
+  using namespace fast_log_constants;
+  const uint64x2_t bits = vreinterpretq_u64_f64(x);
+  const uint64x2_t exp_field = vandq_u64(vshrq_n_u64(bits, 52), vdupq_n_u64(0x7FF));
+  float64x2_t e = vsubq_f64(
+      vreinterpretq_f64_u64(vorrq_u64(exp_field, vdupq_n_u64(kTwo52Bits))),
+      vdupq_n_f64(kExpBias));
+  float64x2_t m = vreinterpretq_f64_u64(
+      vorrq_u64(vandq_u64(bits, vdupq_n_u64(0xFFFFFFFFFFFFFULL)),
+                vreinterpretq_u64_f64(vdupq_n_f64(1.0))));
+  const uint64x2_t fold = vcgtq_f64(m, vdupq_n_f64(kSqrt2));
+  m = vbslq_f64(fold, vmulq_f64(m, vdupq_n_f64(0.5)), m);
+  e = vbslq_f64(fold, vaddq_f64(e, vdupq_n_f64(1.0)), e);
+  const float64x2_t one = vdupq_n_f64(1.0);
+  const float64x2_t t = vdivq_f64(vsubq_f64(m, one), vaddq_f64(m, one));
+  const float64x2_t t2 = vmulq_f64(t, t);
+  float64x2_t p = vdupq_n_f64(kAtanh[0]);
+  for (int i = 1; i < 7; ++i) p = vaddq_f64(vmulq_f64(p, t2), vdupq_n_f64(kAtanh[i]));
+  const float64x2_t series = vmulq_f64(vmulq_f64(vdupq_n_f64(2.0), t), p);
+  return vaddq_f64(vaddq_f64(series, vmulq_f64(e, vdupq_n_f64(kLn2Lo))),
+                   vmulq_f64(e, vdupq_n_f64(kLn2Hi)));
+}
+
 void exp_neon(const double* x, double* out, unsigned long n) {
   unsigned long i = 0;
   for (; i + 2 <= n; i += 2) vst1q_f64(out + i, fast_exp_neon(vld1q_f64(x + i)));
@@ -219,12 +323,11 @@ void exp_neon(const double* x, double* out, unsigned long n) {
 
 // Four float64x2 hold lanes {0,1}, {2,3}, {4,5}, {6,7}.  The max keeps the
 // running value unless the new logit is strictly greater, the sum runs
-// over r ascending per lane, and the per-lane tail (label, log, loss) is
-// scalar in lane order.
+// over r ascending per lane, fast_log runs on all 8 lanes, and the
+// per-lane tail (label, loss) is scalar in lane order.
 double softmax_xent8_neon(const double* z, const unsigned long* labels,
                           unsigned long lanes, unsigned long n_out,
                           double* delta) {
-  constexpr unsigned long kRegs = kDenseBlock / 2;
   float64x2_t m[kRegs], s[kRegs], inv[kRegs];
   for (unsigned long q = 0; q < kRegs; ++q) {
     m[q] = vld1q_f64(z + 2 * q);
@@ -251,16 +354,16 @@ double softmax_xent8_neon(const double* z, const unsigned long* labels,
       vst1q_f64(delta + at, vmulq_f64(vld1q_f64(delta + at), inv[q]));
     }
   }
-  double mj[kDenseBlock], sj[kDenseBlock];
+  double mj[kDenseBlock], log_s[kDenseBlock];
   for (unsigned long q = 0; q < kRegs; ++q) {
     vst1q_f64(mj + 2 * q, m[q]);
-    vst1q_f64(sj + 2 * q, s[q]);
+    vst1q_f64(log_s + 2 * q, fast_log_neon(s[q]));
   }
   double loss = 0.0;
   for (unsigned long j = 0; j < lanes; ++j) {
     const unsigned long y = labels[j];
     delta[y * kDenseBlock + j] -= 1.0;
-    loss += fast_log(sj[j]) - (z[y * kDenseBlock + j] - mj[j]);
+    loss += log_s[j] - (z[y * kDenseBlock + j] - mj[j]);
   }
   for (unsigned long j = lanes; j < kDenseBlock; ++j) {
     for (unsigned long r = 0; r < n_out; ++r) delta[r * kDenseBlock + j] = 0.0;

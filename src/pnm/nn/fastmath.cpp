@@ -11,7 +11,7 @@ namespace pnm {
 namespace {
 
 using namespace fast_exp_constants;
-constexpr double kSqrt2 = 1.41421356237309504880;
+using namespace fast_log_constants;
 
 /// e^x for x already clamped to [kFastExpUnderflow, kOverflow].
 /// k = round(x/ln2); r = x - k*ln2 via the split constant (the k*kLn2Hi
@@ -60,13 +60,8 @@ double fast_log(double x) {
   }
   const double t = (m - 1.0) / (m + 1.0);
   const double t2 = t * t;
-  double p = 1.0 / 13.0;
-  p = p * t2 + 1.0 / 11.0;
-  p = p * t2 + 1.0 / 9.0;
-  p = p * t2 + 1.0 / 7.0;
-  p = p * t2 + 1.0 / 5.0;
-  p = p * t2 + 1.0 / 3.0;
-  p = p * t2 + 1.0;
+  double p = kAtanh[0];
+  for (int i = 1; i < 7; ++i) p = p * t2 + kAtanh[i];
   // e * kLn2Hi is exact (11 + 21 significant bits), so the only rounding
   // in the reconstruction is the final add.
   const auto ed = static_cast<double>(e);

@@ -18,7 +18,11 @@
 ///    DenseKernels::exp (AVX2 / NEON / scalar), identical on every table.
 ///  * `fast_log`: exponent/mantissa split to m in [1/sqrt2, sqrt2), then
 ///    the atanh series log m = 2 * sum t^(2i+1)/(2i+1), t = (m-1)/(m+1),
-///    truncated at t^13.
+///    truncated at t^13.  It has a vector form inside
+///    DenseKernels::softmax_xent8 (AVX2 / NEON): the exponent is built as
+///    a double from its bits, then the same fold, t, Horner chain and
+///    reconstruction, so it equals this function bit for bit.  The
+///    scalar function stays the reference.
 ///
 /// Error bounds (verified over dense grids by nn_fastmath_test, asserted
 /// with margin):
@@ -62,6 +66,21 @@ inline constexpr double kTaylor[11] = {
 /// |kd| < 2^11), so shifting the bit pattern left by 52 gives 2^k.
 inline constexpr double kExpBias = 4503599627370496.0 + 1023.0;  // 2^52 + 1023
 }  // namespace fast_exp_constants
+
+/// The constants of fast_log beyond the ln 2 split above, shared by the
+/// scalar function and the vector kernels.
+namespace fast_log_constants {
+/// The mantissa fold point: m > kSqrt2 becomes m/2 with exponent e + 1.
+inline constexpr double kSqrt2 = 1.41421356237309504880;
+/// Horner coefficients of the atanh series in t^2, highest degree first:
+/// 1/13, 1/11, ..., 1/3, 1.
+inline constexpr double kAtanh[7] = {1.0 / 13.0, 1.0 / 11.0, 1.0 / 9.0, 1.0 / 7.0,
+                                     1.0 / 5.0,  1.0 / 3.0,  1.0};
+/// Bits of 2^52 (the double kExpBias - 1023).  Or-ing a biased exponent
+/// field into its low mantissa bits and subtracting kExpBias gives the
+/// unbiased exponent as a double, with no integer conversion.
+inline constexpr unsigned long long kTwo52Bits = 0x4330000000000000ULL;
+}  // namespace fast_log_constants
 
 /// e^x with the bound above; monotone clamp: +inf for x > 709.78.
 double fast_exp(double x);

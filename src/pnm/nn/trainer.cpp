@@ -275,8 +275,19 @@ TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
 }
 
 void Trainer::apply_update(Mlp& model, const Gradients& grads, double lr) {
-  // Lazily size the optimizer state.
-  if (vel_w_.size() != model.layer_count()) {
+  // Lazily size the optimizer state; a model of any other shape (not just
+  // another depth) starts it afresh, as a new Trainer would.
+  const auto state_fits = [&] {
+    if (vel_w_.size() != model.layer_count()) return false;
+    for (std::size_t li = 0; li < model.layer_count(); ++li) {
+      const auto& l = model.layer(li);
+      if (vel_w_[li].rows() != l.out_features() || vel_w_[li].cols() != l.in_features()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!state_fits()) {
     vel_w_.clear();
     m_w_.clear();
     v_w_.clear();

@@ -169,7 +169,8 @@ class Trainer {
   TrainConfig config_;
   WeightView view_;
   Projector projector_;
-  // Optimizer state (lazily sized to the model on first update).
+  // Optimizer state, sized to the model on the first update and reset
+  // whenever a later model's layer shapes differ.
   std::vector<Matrix> vel_w_, m_w_, v_w_;
   std::vector<std::vector<double>> vel_b_, m_b_, v_b_;
   long step_ = 0;

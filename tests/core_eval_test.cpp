@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "pnm/core/flow.hpp"
@@ -177,8 +178,10 @@ std::uint64_t weight_digest(const Mlp& model, std::uint64_t h) {
   return h;
 }
 
-TEST(Eval, MinimizeFloatIsBitIdenticalAcrossKernelTablesAndPinned) {
-  auto& flow = seeds_flow();
+/// Fine-tunes four genomes on `flow` through minimize_float, checks that
+/// the scalar kernel table reproduces every weight and bias of the native
+/// one, and returns the weight digest of the native results.
+std::uint64_t minimize_digest_across_tables(MinimizationFlow& flow) {
   ProxyEvaluator proxy = flow.proxy_evaluator(4);
   // 2-bit weights, 70% sparsity and 2 clusters: the fake-quant ties, the
   // mask and the cluster means all act on every fine-tuning step.
@@ -213,12 +216,37 @@ TEST(Eval, MinimizeFloatIsBitIdenticalAcrossKernelTablesAndPinned) {
     }
   }
   simd::reset_dense_kernels();
+  return digest;
+}
+
+TEST(Eval, MinimizeFloatIsBitIdenticalAcrossKernelTablesAndPinned) {
+  const std::uint64_t digest = minimize_digest_across_tables(seeds_flow());
   // Pinned fine-tuning output.  Campaign stores are keyed by
   // eval_fingerprint, whose finetune_math token names the trainer math: a
   // change that moves this digest changes what stored results mean, so it
   // must also change that token (core/campaign.cpp) — never just the
   // number here.
   EXPECT_EQ(digest, 0xbaa3b899a787f3a2ULL) << std::hex << "digest 0x" << digest;
+}
+
+/// The block kernels tile 4 rows (forward, backward) or 4 columns
+/// (gradient) at a time and hand the rest to a one-row loop.  The 7-4-3
+/// topology above never leaves a remainder of 1 or 2; hidden widths 9 and
+/// 10 do (9x7 and 10x7 forward/backward, 3x9 and 3x10 gradient columns).
+TEST(Eval, MinimizeFloatPinnedOnTileRemainderTopologies) {
+  for (const auto& [width, pinned] :
+       {std::pair<std::size_t, std::uint64_t>{9, 0x9d86173213ceb77bULL},
+        std::pair<std::size_t, std::uint64_t>{10, 0xdc0efa419b49d3d2ULL}}) {
+    FlowConfig config = fast_config();
+    config.hidden = {width};
+    MinimizationFlow flow(config);
+    flow.prepare();
+    const std::uint64_t digest = minimize_digest_across_tables(flow);
+    // Like the digest above: moving either number means new trainer math,
+    // which must also change the finetune_math token (core/campaign.cpp).
+    EXPECT_EQ(digest, pinned) << "hidden " << width << std::hex << ": digest 0x"
+                              << digest;
+  }
 }
 
 TEST(Eval, CachedCountsHitsAndMissesExactly) {

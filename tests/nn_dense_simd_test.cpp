@@ -124,9 +124,17 @@ TEST(DenseSimd, OptimizerKernelsBitIdenticalAcrossTables) {
 TEST(DenseSimd, BlockKernelsBitIdenticalAcrossTables) {
   const auto* scalar = simd::dense_kernels_for(simd::Isa::kScalar);
   Rng rng(13);
+  // The vector kernels tile 4 rows (forward, backward) or 4 columns
+  // (gradient) and finish with a one-row/one-column loop: 1..11 and 16
+  // reach every remainder with no full tile, after one and after two, and
+  // cover the paper topologies' layer shapes (10x16, 10x10, 8x11, 7x8,
+  // 6x11, 6x6, 4x7, 3x4).
+  std::vector<std::size_t> shapes;
+  for (std::size_t n = 1; n <= 11; ++n) shapes.push_back(n);
+  shapes.push_back(16);
   for (const auto* table : native_tables()) {
-    for (std::size_t rows : {1u, 2u, 4u, 7u}) {
-      for (std::size_t cols : {1u, 3u, 4u, 9u}) {
+    for (std::size_t rows : shapes) {
+      for (std::size_t cols : shapes) {
         const std::vector<double> w = random_vec(rng, rows * cols);
         const std::vector<double> bias = random_vec(rng, rows);
         const std::vector<double> in = random_vec(rng, cols * kB);
@@ -179,6 +187,55 @@ TEST(DenseSimd, BlockKernelsBitIdenticalAcrossTables) {
           }
         }
       }
+    }
+
+    // softmax denominators at the edges of the vector fast_log: tied
+    // logits make s exactly n_out (a power of two for 2/4/8, and 1 for a
+    // single output or when every other logit flushes to 0), and one free
+    // logit walks s onto the doubles just below, at and just above the
+    // sqrt2 mantissa fold (s near sqrt2 and near 2*sqrt2).
+    const auto check_softmax = [&](const std::vector<double>& z, std::size_t n_out,
+                                   const char* what) {
+      std::vector<unsigned long> labels(kB);
+      for (std::size_t j = 0; j < kB; ++j) labels[j] = j % n_out;
+      std::vector<double> d0(n_out * kB), d1(n_out * kB);
+      const double loss0 = scalar->softmax_xent8(z.data(), labels.data(), kB, n_out, d0.data());
+      const double loss1 = table->softmax_xent8(z.data(), labels.data(), kB, n_out, d1.data());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(loss0), std::bit_cast<std::uint64_t>(loss1))
+          << what << " n_out=" << n_out << ": " << loss0 << " vs " << loss1;
+      expect_same_bits(d0, d1, what);
+    };
+    for (std::size_t n_out : {1u, 2u, 4u, 8u}) {
+      std::vector<double> z(n_out * kB);
+      for (std::size_t j = 0; j < kB; ++j) {
+        const double tie = static_cast<double>(j) - 3.5;
+        for (std::size_t r = 0; r < n_out; ++r) z[r * kB + j] = tie;
+      }
+      check_softmax(z, n_out, "tied logits");
+      for (std::size_t j = 0; j < kB; ++j) {
+        for (std::size_t r = 1; r < n_out; ++r) z[r * kB + j] = z[j] - 800.0;
+      }
+      check_softmax(z, n_out, "s = 1");
+    }
+    using fast_log_constants::kSqrt2;
+    for (const double target :
+         {std::nextafter(kSqrt2, 0.0), kSqrt2, std::nextafter(kSqrt2, 2.0),
+          std::nextafter(2.0 * kSqrt2, 0.0), 2.0 * kSqrt2,
+          std::nextafter(2.0 * kSqrt2, 4.0)}) {
+      // `ties` logits at 0 and one at d < 0: the kernel's running sum is
+      // exactly `ties` before it adds fast_exp(d).  Step d one ulp at a
+      // time until s lands on target.
+      const double ties = target < 2.0 ? 1.0 : 2.0;
+      const auto denom = [ties](double d) { return ties + fast_exp(d); };
+      double d = std::log(target - ties);
+      for (int step = 0; step < 4096 && denom(d) != target; ++step) {
+        d = std::nextafter(d, denom(d) < target ? 0.0 : -1.0);
+      }
+      ASSERT_EQ(denom(d), target) << "no logit gives s = " << target;
+      const std::size_t n_out = ties < 2.0 ? 2 : 3;
+      std::vector<double> z(n_out * kB, 0.0);
+      for (std::size_t j = 0; j < kB; ++j) z[(n_out - 1) * kB + j] = d;
+      check_softmax(z, n_out, "s at the sqrt2 fold");
     }
 
     // exp across the clamps and the flush-to-zero edge; odd lengths

@@ -17,10 +17,10 @@ namespace {
 /// Small separable dataset for optimization tests, min-max scaled to [0,1]
 /// like every real flow in this library (unscaled features make the loss
 /// landscape needlessly hostile for short training runs).
-Dataset easy_dataset(std::uint64_t seed = 100) {
+Dataset easy_dataset(std::uint64_t seed = 100, std::size_t n_features = 4) {
   SynthConfig cfg;
   cfg.name = "easy";
-  cfg.n_features = 4;
+  cfg.n_features = n_features;
   cfg.n_classes = 3;
   cfg.n_samples = 300;
   cfg.class_separation = 3.0;
@@ -103,6 +103,33 @@ TEST(Trainer, DeterministicGivenSeed) {
   Trainer(cfg).fit(net2, data, rng2);
   for (std::size_t li = 0; li < net1.layer_count(); ++li) {
     EXPECT_EQ(net1.layer(li).weights, net2.layer(li).weights);
+  }
+}
+
+TEST(Trainer, ReusedOnReshapedModelMatchesFreshTrainer) {
+  // Same depth, wider hidden layer: the optimizer state sized for the
+  // first model must be rebuilt (step count included), not overrun.
+  const Dataset data = easy_dataset(100, 7);
+  for (Optimizer optimizer : {Optimizer::kAdam, Optimizer::kSgd}) {
+    TrainConfig cfg;
+    cfg.epochs = 3;
+    cfg.optimizer = optimizer;
+    Trainer reused(cfg);
+    Rng narrow_rng(5);
+    Mlp narrow({7, 2, 3}, narrow_rng);
+    reused.fit(narrow, data, narrow_rng);
+
+    Rng init_rng(6);
+    Mlp wide_reused({7, 40, 3}, init_rng);
+    Mlp wide_fresh = wide_reused;
+    Rng rng1(9), rng2(9);
+    reused.fit(wide_reused, data, rng1);
+    Trainer(cfg).fit(wide_fresh, data, rng2);
+    for (std::size_t li = 0; li < wide_fresh.layer_count(); ++li) {
+      EXPECT_EQ(wide_reused.layer(li).weights.raw(), wide_fresh.layer(li).weights.raw())
+          << "layer " << li;
+      EXPECT_EQ(wide_reused.layer(li).bias, wide_fresh.layer(li).bias) << "layer " << li;
+    }
   }
 }
 
