@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -14,11 +15,19 @@
 
 namespace pnm::serve {
 
+namespace {
+
+/// Space offered to each recv: enough for a large burst of responses.
+constexpr std::size_t kRecvChunk = 64 * 1024;
+
+}  // namespace
+
 ServeClient::~ServeClient() { close(); }
 
 ServeClient::ServeClient(ServeClient&& other) noexcept
-    : fd_(other.fd_), tx_(std::move(other.tx_)) {
+    : fd_(other.fd_), tx_(std::move(other.tx_)), rx_(std::move(other.rx_)) {
   other.fd_ = -1;
+  other.rx_.reset();
 }
 
 ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
@@ -26,7 +35,9 @@ ServeClient& ServeClient::operator=(ServeClient&& other) noexcept {
     close();
     fd_ = other.fd_;
     tx_ = std::move(other.tx_);
+    rx_ = std::move(other.rx_);
     other.fd_ = -1;
+    other.rx_.reset();
   }
   return *this;
 }
@@ -46,6 +57,7 @@ void ServeClient::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  rx_.reset();
 }
 
 bool ServeClient::send_predict(std::uint32_t id, std::span<const double> features) {
@@ -68,64 +80,75 @@ bool ServeClient::send_raw(const void* data, std::size_t n) {
   return send_all(fd_, data, n);
 }
 
-bool ServeClient::read_frame(ClientFrame& out, int timeout_ms) {
+bool ServeClient::next_frame(FrameReader::Frame& out, int timeout_ms) {
   if (fd_ < 0) return false;
-  std::uint8_t len_bytes[4];
-  if (!recv_exact(fd_, len_bytes, 4, timeout_ms)) return false;
-  const std::uint32_t len = read_u32(len_bytes);
-  if (len == 0 || len > kDefaultMaxFrameBytes) return false;
-  std::vector<std::uint8_t> body(len);
-  if (!recv_exact(fd_, body.data(), len, timeout_ms)) return false;
-  out.type = static_cast<FrameType>(body[0]);
-  out.payload.assign(body.begin() + 1, body.end());
+  const Deadline deadline = deadline_in(timeout_ms);
+  for (;;) {
+    switch (rx_.next(out)) {
+      case FrameReader::Status::kFrame:
+        return true;
+      case FrameReader::Status::kPoisoned:
+        return false;
+      case FrameReader::Status::kNeedMore:
+        break;
+    }
+    const std::span<std::uint8_t> space = rx_.prepare(kRecvChunk);
+    const long got = recv_before(fd_, space.data(), space.size(), deadline);
+    if (got > 0) {
+      rx_.commit(static_cast<std::size_t>(got));
+    } else if (got == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      return false;  // disconnect, error, or timeout
+    }
+  }
+}
+
+bool ServeClient::read_frame(ClientFrame& out, int timeout_ms) {
+  FrameReader::Frame frame;
+  if (!next_frame(frame, timeout_ms)) return false;
+  out.type = frame.type;
+  out.payload.assign(frame.payload.begin(), frame.payload.end());
   return true;
 }
 
 bool ServeClient::read_predict(PredictResponse& out, int timeout_ms) {
-  ClientFrame frame;
-  if (!read_frame(frame, timeout_ms)) return false;
+  FrameReader::Frame frame;
+  if (!next_frame(frame, timeout_ms)) return false;
   if (frame.type != FrameType::kPredictResp) return false;
   return decode_predict_resp(frame.payload, out);
 }
 
+bool ServeClient::round_trip(FrameType want, FrameReader::Frame& reply, int timeout_ms) {
+  if (fd_ < 0 || !send_all(fd_, tx_.data(), tx_.size())) return false;
+  return next_frame(reply, timeout_ms) && reply.type == want;
+}
+
 bool ServeClient::stats(std::string& json_out, int timeout_ms) {
-  if (fd_ < 0) return false;
   tx_.clear();
   encode_stats_req(tx_);
-  if (!send_all(fd_, tx_.data(), tx_.size())) return false;
-  ClientFrame frame;
-  if (!read_frame(frame, timeout_ms)) return false;
-  if (frame.type != FrameType::kStatsResp) return false;
+  FrameReader::Frame frame;
+  if (!round_trip(FrameType::kStatsResp, frame, timeout_ms)) return false;
   json_out.assign(reinterpret_cast<const char*>(frame.payload.data()), frame.payload.size());
   return true;
 }
 
 bool ServeClient::swap(const std::string& model_path, std::string& message_out,
                        int timeout_ms) {
-  if (fd_ < 0) return false;
   tx_.clear();
   encode_swap_req(tx_, model_path);
-  if (!send_all(fd_, tx_.data(), tx_.size())) return false;
-  ClientFrame frame;
-  if (!read_frame(frame, timeout_ms)) return false;
-  if (frame.type != FrameType::kSwapResp) return false;
+  FrameReader::Frame frame;
   bool ok = false;
-  if (!decode_swap_resp(frame.payload, ok, message_out)) return false;
-  return ok;
+  return round_trip(FrameType::kSwapResp, frame, timeout_ms) &&
+         decode_swap_resp(frame.payload, ok, message_out) && ok;
 }
 
 bool ServeClient::swap_named(const std::string& model_name, const std::string& model_path,
                              std::string& message_out, int timeout_ms) {
-  if (fd_ < 0) return false;
   tx_.clear();
   encode_swap_req_v2(tx_, model_name, model_path);
-  if (!send_all(fd_, tx_.data(), tx_.size())) return false;
-  ClientFrame frame;
-  if (!read_frame(frame, timeout_ms)) return false;
-  if (frame.type != FrameType::kSwapResp) return false;
+  FrameReader::Frame frame;
   bool ok = false;
-  if (!decode_swap_resp(frame.payload, ok, message_out)) return false;
-  return ok;
+  return round_trip(FrameType::kSwapResp, frame, timeout_ms) &&
+         decode_swap_resp(frame.payload, ok, message_out) && ok;
 }
 
 namespace {

@@ -6,8 +6,9 @@
 ///
 /// ServeClient is the straightforward synchronous counterpart of the
 /// server: one TCP connection, framed sends, blocking framed reads with a
-/// timeout.  It is what the CLI, the tests, and the load generator build
-/// on.
+/// timeout.  Reads are buffered: one recv takes in as many response frames
+/// as have arrived, and later reads return them without a syscall.  It is
+/// what the CLI, the tests, and the load generator build on.
 ///
 /// LoadGen drives a server open-loop — requests depart on a fixed
 /// schedule regardless of response progress, so queueing delay shows up
@@ -37,12 +38,21 @@ struct ClientFrame {
 };
 
 /// Blocking single-connection protocol client.
+///
+/// Thread contract: the send side (send_* and the request half of the
+/// round trips) and the receive side (read_frame, read_predict) touch
+/// disjoint state — `tx_` and `rx_` respectively — so one thread may send
+/// while another reads, which is how open-loop generators drive it.
+/// connect, close, moves, and the round trips (stats, swap, swap_named)
+/// use both sides and need the client to themselves.
 class ServeClient {
  public:
   ServeClient() = default;
   ~ServeClient();
   ServeClient(const ServeClient&) = delete;
   ServeClient& operator=(const ServeClient&) = delete;
+  /// Moves carry any frames already received but not yet read; the
+  /// moved-from client is left closed and empty.
   ServeClient(ServeClient&& other) noexcept;
   ServeClient& operator=(ServeClient&& other) noexcept;
 
@@ -51,6 +61,7 @@ class ServeClient {
   bool connect(const std::string& host, std::uint16_t port, int max_attempts = 50);
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
+  /// Closes the connection and discards any unread received bytes.
   void close();
 
   /// Sends one kPredict frame.  \return false on a send failure.
@@ -65,13 +76,19 @@ class ServeClient {
   /// oversized, or garbage frames.
   bool send_raw(const void* data, std::size_t n);
 
-  /// Blocking read of the next complete frame.
+  /// Blocking read of the next complete frame.  Returns a frame already
+  /// buffered without a syscall; otherwise waits and receives whatever has
+  /// arrived (possibly many frames) in one recv.
   /// \param out         receives the frame.
-  /// \param timeout_ms  per-read timeout (<= 0 waits indefinitely).
-  /// \return false on timeout, disconnect, or framing violation.
+  /// \param timeout_ms  one deadline for the whole call, however many
+  ///                    receives the frame takes (<= 0 waits indefinitely).
+  /// \return false on timeout, disconnect, or framing violation (a length
+  ///         of 0 or over kDefaultMaxFrameBytes, after which every later
+  ///         read fails too).
   bool read_frame(ClientFrame& out, int timeout_ms = 5000);
 
-  /// Reads the next frame and decodes it as kPredictResp.
+  /// Reads the next frame and decodes it as kPredictResp (same deadline
+  /// rule as read_frame).
   /// \return false when the next frame is not a well-formed kPredictResp.
   bool read_predict(PredictResponse& out, int timeout_ms = 5000);
 
@@ -90,8 +107,15 @@ class ServeClient {
                   std::string& message_out, int timeout_ms = 10000);
 
  private:
+  /// The next frame from `rx_`, receiving until one is complete or the
+  /// call's deadline passes.  The payload views `rx_` until the next read.
+  bool next_frame(FrameReader::Frame& out, int timeout_ms);
+  /// Sends `tx_` and reads the reply frame, which must be of type `want`.
+  bool round_trip(FrameType want, FrameReader::Frame& reply, int timeout_ms);
+
   int fd_ = -1;
-  std::vector<std::uint8_t> tx_;
+  std::vector<std::uint8_t> tx_;  ///< send side: one encoded frame
+  FrameReader rx_;                ///< receive side: buffered response bytes
 };
 
 /// Open-loop load-generator configuration.

@@ -183,24 +183,64 @@ bool decode_swap_resp(std::span<const std::uint8_t> payload, bool& ok, std::stri
   return true;
 }
 
-bool FrameReader::feed(const std::uint8_t* data, std::size_t n, const FrameHandler& on_frame) {
-  if (poisoned_) return false;
-  buf_.insert(buf_.end(), data, data + n);
-  std::size_t pos = 0;
-  while (buf_.size() - pos >= 4) {
-    const std::uint32_t len = read_u32(buf_.data() + pos);
-    if (len == 0 || len > max_frame_bytes_) {
-      poisoned_ = true;
-      buf_.clear();
-      return false;
-    }
-    if (buf_.size() - pos < 4 + static_cast<std::size_t>(len)) break;
-    const FrameType type = static_cast<FrameType>(buf_[pos + 4]);
-    on_frame(type, std::span<const std::uint8_t>(buf_.data() + pos + 5, len - 1));
-    pos += 4 + len;
+FrameReader::Status FrameReader::next(Frame& out) {
+  if (poisoned_) return Status::kPoisoned;
+  const std::size_t avail = tail_ - head_;
+  if (avail < 4) return Status::kNeedMore;
+  const std::uint32_t len = read_u32(buf_.data() + head_);
+  if (len == 0 || len > max_frame_bytes_) {
+    poisoned_ = true;
+    head_ = tail_ = 0;
+    return Status::kPoisoned;
   }
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
-  return true;
+  if (avail - 4 < len) return Status::kNeedMore;
+  out.type = static_cast<FrameType>(buf_[head_ + 4]);
+  out.payload = std::span<const std::uint8_t>(buf_.data() + head_ + 5, len - 1);
+  head_ += 4 + static_cast<std::size_t>(len);
+  if (head_ == tail_) head_ = tail_ = 0;  // the span stays valid: no bytes move
+  return Status::kFrame;
+}
+
+std::span<std::uint8_t> FrameReader::prepare(std::size_t min_bytes) {
+  if (buf_.size() - tail_ < min_bytes && head_ > 0) {
+    // Slide the partial frame to the front before growing.
+    std::memmove(buf_.data(), buf_.data() + head_, tail_ - head_);
+    tail_ -= head_;
+    head_ = 0;
+  }
+  if (buf_.size() - tail_ < min_bytes) buf_.resize(tail_ + min_bytes);
+  return std::span<std::uint8_t>(buf_.data() + tail_, buf_.size() - tail_);
+}
+
+void FrameReader::commit(std::size_t n) {
+  if (!poisoned_) tail_ += n;
+}
+
+void FrameReader::append(const std::uint8_t* data, std::size_t n) {
+  if (poisoned_ || n == 0) return;
+  std::memcpy(prepare(n).data(), data, n);
+  commit(n);
+}
+
+bool FrameReader::feed(const std::uint8_t* data, std::size_t n, const FrameHandler& on_frame) {
+  append(data, n);
+  Frame frame;
+  for (;;) {
+    switch (next(frame)) {
+      case Status::kFrame:
+        on_frame(frame.type, frame.payload);
+        break;
+      case Status::kNeedMore:
+        return true;
+      case Status::kPoisoned:
+        return false;
+    }
+  }
+}
+
+void FrameReader::reset() {
+  head_ = tail_ = 0;
+  poisoned_ = false;
 }
 
 }  // namespace pnm::serve

@@ -168,20 +168,53 @@ bool decode_swap_resp(std::span<const std::uint8_t> payload, bool& ok, std::stri
 
 // ---- incremental frame reassembly ---------------------------------------
 
-/// Reassembles frames from an arbitrary byte stream (per connection).
-/// feed() buffers partial data and invokes the callback once per complete
-/// frame; a frame whose declared length is 0 or exceeds the cap poisons
-/// the reader (feed returns false and the connection must be dropped —
-/// framing is unrecoverable).
+/// Reassembles frames from an arbitrary byte stream — the one framing
+/// rule both ends of a serve connection share.  Bytes go in by copy
+/// (append) or straight from recv(2) into the reader's own buffer
+/// (prepare + commit); next() pulls one complete frame at a time, so a
+/// single recv of a pipelined burst yields every frame in it.  A frame
+/// whose declared length is 0 or exceeds the cap poisons the reader
+/// (framing is unrecoverable): next() reports kPoisoned from then on, the
+/// buffered bytes are discarded, and later bytes are ignored.
 class FrameReader {
  public:
   using FrameHandler = std::function<void(FrameType, std::span<const std::uint8_t>)>;
+
+  /// Outcome of one next() call.
+  enum class Status : std::uint8_t {
+    kFrame,     ///< a complete frame was returned
+    kNeedMore,  ///< no complete frame is buffered yet
+    kPoisoned,  ///< framing violation; the stream must be dropped
+  };
+
+  /// One complete frame.  `payload` (the bytes after the type tag) views
+  /// the reader's buffer: valid until the next append, prepare, or reset.
+  struct Frame {
+    FrameType type = FrameType::kError;
+    std::span<const std::uint8_t> payload;
+  };
 
   /// \param max_frame_bytes  cap on one frame's post-length byte count.
   explicit FrameReader(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
       : max_frame_bytes_(max_frame_bytes) {}
 
-  /// Consumes `n` raw bytes, dispatching every completed frame.
+  /// Pulls the next complete frame out of the buffered bytes.  The length
+  /// is checked as soon as its 4 bytes are buffered, before any body is.
+  Status next(Frame& out);
+
+  /// Buffers a copy of `n` received bytes (dropped once poisoned).
+  void append(const std::uint8_t* data, std::size_t n);
+
+  /// Writable space of at least `min_bytes` after the buffered bytes, for
+  /// recv(2) to fill in place; report the bytes written with commit().
+  /// Invalidates payload spans returned earlier.
+  std::span<std::uint8_t> prepare(std::size_t min_bytes);
+
+  /// Marks `n` bytes of the last prepare() span as received.
+  void commit(std::size_t n);
+
+  /// Consumes `n` raw bytes, dispatching every completed frame: append()
+  /// and then next() until it needs more bytes.
   ///
   /// \param data      received bytes.
   /// \param n         byte count.
@@ -191,11 +224,16 @@ class FrameReader {
 
   /// Whether a partially-received frame is pending — at connection close
   /// this distinguishes a clean disconnect from a truncated frame.
-  [[nodiscard]] bool mid_frame() const { return !buf_.empty(); }
+  [[nodiscard]] bool mid_frame() const { return head_ != tail_; }
+
+  /// Empties the reader and clears poisoning: the start of a new stream.
+  void reset();
 
  private:
   std::size_t max_frame_bytes_;
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  ///< size() is the capacity in use
+  std::size_t head_ = 0;           ///< first unread byte
+  std::size_t tail_ = 0;           ///< one past the last received byte
   bool poisoned_ = false;
 };
 

@@ -270,6 +270,69 @@ void Server::io_loop(std::size_t reactor) {
     conns.erase(it);  // fd closes when in-flight requests release the ref
   };
 
+  // Sends a kError frame; the connection is dropped after it.
+  const auto refuse = [&](Connection& conn, const char* why) {
+    reply.clear();
+    encode_error(reply, why);
+    conn.write_frame(reply);
+  };
+
+  // Handles one complete frame.  \return false when the connection must
+  // be dropped (protocol violation).
+  const auto dispatch = [&](const std::shared_ptr<Connection>& conn,
+                            const FrameReader::Frame& frame) -> bool {
+    switch (frame.type) {
+      case FrameType::kPredict: {
+        ServeRequest* r = pool_.acquire();
+        std::uint32_t id = 0;
+        if (!decode_predict(frame.payload, id, r->features)) {
+          pool_.release(r);
+          metrics_.on_protocol_error();
+          refuse(*conn, "malformed predict frame");
+          return false;
+        }
+        r->id = id;
+        r->conn = conn;
+        stage_and_admit(r);
+        return true;
+      }
+      case FrameType::kPredictV2: {
+        ServeRequest* r = pool_.acquire();
+        std::uint32_t id = 0;
+        if (!decode_predict_v2(frame.payload, id, r->model_name, r->features)) {
+          pool_.release(r);
+          metrics_.on_protocol_error();
+          refuse(*conn, "malformed predict frame");
+          return false;
+        }
+        if (registry_->get(r->model_name) == nullptr) {
+          // Request-level failure: typed error, the connection (and its
+          // other in-flight requests) keeps serving.
+          metrics_.on_unknown_model();
+          reply.clear();
+          encode_error_v2(reply, ErrorCode::kUnknownModel, "unknown model: " + r->model_name);
+          pool_.release(r);
+          if (!conn->write_frame(reply)) metrics_.on_dropped_response();
+          return true;
+        }
+        r->id = id;
+        r->conn = conn;
+        r->v2 = true;
+        stage_and_admit(r);
+        return true;
+      }
+      case FrameType::kStats:
+      case FrameType::kSwap:
+      case FrameType::kSwapV2:
+        handle_admin_frame(conn, frame.type, frame.payload);
+        return true;
+      default:
+        metrics_.on_protocol_error();
+        refuse(*conn, "unexpected frame type");
+        return false;
+    }
+  };
+
   bool stopping = false;
   while (!stopping) {
     const int n = epoll.wait(events, -1);
@@ -295,92 +358,34 @@ void Server::io_loop(std::size_t reactor) {
       const auto it = conns.find(tag);
       if (it == conns.end()) continue;
       const std::shared_ptr<Connection> conn = it->second;
+      FrameReader& reader = conn->reader();
 
       bool drop = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      bool peer_done = (events[i].events & EPOLLRDHUP) != 0;
+      const bool peer_done = (events[i].events & EPOLLRDHUP) != 0;
       while (!drop) {
         const long got = recv_some(conn->fd(), rx.data(), rx.size());
-        if (got > 0) {
-          const bool ok = conn->reader().feed(
-              rx.data(), static_cast<std::size_t>(got),
-              [&](FrameType type, std::span<const std::uint8_t> payload) {
-                switch (type) {
-                  case FrameType::kPredict: {
-                    ServeRequest* r = pool_.acquire();
-                    std::uint32_t id = 0;
-                    if (!decode_predict(payload, id, r->features)) {
-                      pool_.release(r);
-                      metrics_.on_protocol_error();
-                      reply.clear();
-                      encode_error(reply, "malformed predict frame");
-                      conn->write_frame(reply);
-                      drop = true;
-                      return;
-                    }
-                    r->id = id;
-                    r->conn = conn;
-                    stage_and_admit(r);
-                    return;
-                  }
-                  case FrameType::kPredictV2: {
-                    ServeRequest* r = pool_.acquire();
-                    std::uint32_t id = 0;
-                    if (!decode_predict_v2(payload, id, r->model_name, r->features)) {
-                      pool_.release(r);
-                      metrics_.on_protocol_error();
-                      reply.clear();
-                      encode_error(reply, "malformed predict frame");
-                      conn->write_frame(reply);
-                      drop = true;
-                      return;
-                    }
-                    if (registry_->get(r->model_name) == nullptr) {
-                      // Request-level failure: typed error, the connection
-                      // (and its other in-flight requests) keeps serving.
-                      metrics_.on_unknown_model();
-                      reply.clear();
-                      encode_error_v2(reply, ErrorCode::kUnknownModel,
-                                      "unknown model: " + r->model_name);
-                      pool_.release(r);
-                      if (!conn->write_frame(reply)) metrics_.on_dropped_response();
-                      return;
-                    }
-                    r->id = id;
-                    r->conn = conn;
-                    r->v2 = true;
-                    stage_and_admit(r);
-                    return;
-                  }
-                  case FrameType::kStats:
-                  case FrameType::kSwap:
-                  case FrameType::kSwapV2:
-                    handle_admin_frame(conn, type, payload);
-                    return;
-                  default:
-                    metrics_.on_protocol_error();
-                    reply.clear();
-                    encode_error(reply, "unexpected frame type");
-                    conn->write_frame(reply);
-                    drop = true;
-                    return;
-                }
-              });
-          if (!ok && !drop) {
-            // Framing violation (zero/oversized length): unrecoverable.
-            metrics_.on_oversized();
-            reply.clear();
-            encode_error(reply, "bad frame length");
-            conn->write_frame(reply);
-            drop = true;
-          }
-          continue;
+        if (got <= 0) {
+          // 0: orderly close; EAGAIN: nothing left; anything else: hard error.
+          drop = got == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+          break;
         }
-        if (got == 0) {
-          drop = true;  // orderly close
-        } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
-          drop = true;  // hard error
+        reader.append(rx.data(), static_cast<std::size_t>(got));
+        FrameReader::Frame frame;
+        FrameReader::Status status = FrameReader::Status::kNeedMore;
+        while ((status = reader.next(frame)) == FrameReader::Status::kFrame) {
+          if (!dispatch(conn, frame)) drop = true;
         }
-        break;  // EAGAIN: drained
+        if (status == FrameReader::Status::kPoisoned && !drop) {
+          // Framing violation (zero/oversized length): unrecoverable.
+          metrics_.on_oversized();
+          refuse(*conn, "bad frame length");
+          drop = true;
+        }
+        // A short read took everything the socket held.  Epoll is
+        // level-triggered, so bytes arriving later are reported by the
+        // next wait; another recv now would only return EAGAIN.  (With
+        // EPOLLET this loop would have to drain to EAGAIN instead.)
+        if (static_cast<std::size_t>(got) < rx.size()) break;
       }
       if (drop || peer_done) drop_connection(tag);
     }

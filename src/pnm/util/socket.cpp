@@ -166,29 +166,40 @@ long recv_some(int fd, void* buf, std::size_t n) {
   return static_cast<long>(rc);
 }
 
-bool recv_exact(int fd, void* buf, std::size_t n, int timeout_ms) {
-  char* p = static_cast<char*>(buf);
-  std::size_t got = 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms > 0 ? timeout_ms : 0);
-  while (got < n) {
-    if (timeout_ms > 0) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+Deadline deadline_in(int timeout_ms) {
+  if (timeout_ms <= 0) return Deadline::max();
+  return std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+}
+
+long recv_before(int fd, void* buf, std::size_t n, Deadline deadline) {
+  if (deadline != Deadline::max()) {
+    for (;;) {
+      // Rounded up, so a wait never ends before the deadline has passed.
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
                             deadline - std::chrono::steady_clock::now())
                             .count();
-      if (left <= 0) return false;
+      if (left <= 0) {
+        errno = ETIMEDOUT;
+        return -1;
+      }
       pollfd pfd{fd, POLLIN, 0};
       const int pr = poll(&pfd, 1, static_cast<int>(left));
-      if (pr < 0 && errno != EINTR) return false;
-      if (pr <= 0) continue;
+      if (pr > 0) break;
+      if (pr < 0 && errno != EINTR) return -1;
     }
-    const long rc = recv_some(fd, p + got, n - got);
+  }
+  return recv_some(fd, buf, n);
+}
+
+bool recv_exact(int fd, void* buf, std::size_t n, int timeout_ms) {
+  char* p = static_cast<char*>(buf);
+  const Deadline deadline = deadline_in(timeout_ms);
+  for (std::size_t got = 0; got < n;) {
+    const long rc = recv_before(fd, p + got, n - got, deadline);
     if (rc > 0) {
       got += static_cast<std::size_t>(rc);
-    } else if (rc == 0) {
-      return false;  // peer closed mid-message
-    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      return false;
+    } else if (rc == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      return false;  // peer closed mid-message, error, or timeout
     }
   }
   return true;

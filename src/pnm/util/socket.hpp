@@ -13,6 +13,7 @@
 /// the same spirit as fileio.hpp for the persistence layer.  Linux-only
 /// (epoll), like the flock-based store.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -100,6 +101,24 @@ bool send_all(int fd, const void* data, std::size_t n, int stall_ms = 5000);
 ///         nonblocking sockets — when nothing is available (errno EAGAIN).
 long recv_some(int fd, void* buf, std::size_t n);
 
+/// A point on the steady clock by which a blocking receive must finish.
+using Deadline = std::chrono::steady_clock::time_point;
+
+/// The deadline `timeout_ms` from now; <= 0 means none (Deadline::max()).
+Deadline deadline_in(int timeout_ms);
+
+/// One recv(2), after waiting (poll, through EINTR) until `fd` is
+/// readable or `deadline` passes.  With no deadline the wait is skipped:
+/// a blocking fd blocks in recv, a nonblocking one reports EAGAIN.
+///
+/// \param fd        connected socket.
+/// \param buf       destination buffer.
+/// \param n         capacity.
+/// \param deadline  give up at this time (Deadline::max(): never).
+/// \return bytes read (> 0); 0 on orderly close; -1 on error, on timeout
+///         (errno ETIMEDOUT), or when nothing was available (errno EAGAIN).
+long recv_before(int fd, void* buf, std::size_t n, Deadline deadline);
+
 /// Receives exactly `n` bytes on a blocking socket, bounded by a timeout.
 ///
 /// \param fd          connected (blocking) socket.
@@ -109,9 +128,10 @@ long recv_some(int fd, void* buf, std::size_t n);
 /// \return true when all `n` bytes arrived.
 bool recv_exact(int fd, void* buf, std::size_t n, int timeout_ms);
 
-/// RAII epoll instance.  Level-triggered throughout — the serve IO loop
-/// drains readable connections until EAGAIN anyway, and level-triggered
-/// readiness cannot lose events across the admission queue's backpressure.
+/// RAII epoll instance.  Level-triggered throughout: a connection with
+/// bytes still unread is reported again on the next wait, so the serve IO
+/// loop may stop reading at a short read instead of draining to EAGAIN,
+/// and readiness cannot be lost across the admission queue's backpressure.
 class Epoll {
  public:
   /// Creates the epoll instance (throws std::runtime_error on failure —

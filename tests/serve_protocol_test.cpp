@@ -1,12 +1,15 @@
 /// Tests for the serve wire protocol: encoder/decoder round trips,
 /// little-endian layout, and FrameReader's handling of fragmentation,
-/// coalescing, and hostile framing (zero-length, oversized, truncated).
+/// coalescing, and hostile framing (zero-length, oversized, truncated),
+/// through both feed() and the pull-style next() with in-place receives.
 
 #include "pnm/serve/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -249,6 +252,88 @@ TEST(FrameReader, RespectsCustomCap) {
     EXPECT_TRUE(feed_in_steps(big, frame, frame.size(), got));
     ASSERT_EQ(got.types.size(), 1U);
   }
+}
+
+TEST(FrameReader, NextPullsEveryFrameOfOneChunkThenNeedsMore) {
+  std::vector<std::uint8_t> stream;
+  for (std::uint32_t id = 0; id < 5; ++id) encode_predict_resp(stream, id, 2, id + 10);
+  encode_stats_req(stream);
+  FrameReader reader;
+  reader.append(stream.data(), stream.size() - 1);  // the stats frame is cut short
+  FrameReader::Frame frame;
+  for (std::uint32_t id = 0; id < 5; ++id) {
+    ASSERT_EQ(reader.next(frame), FrameReader::Status::kFrame);
+    EXPECT_EQ(frame.type, FrameType::kPredictResp);
+    PredictResponse resp;
+    ASSERT_TRUE(decode_predict_resp(frame.payload, resp));
+    EXPECT_EQ(resp.id, id);
+    EXPECT_EQ(resp.predicted_class, id + 10);
+  }
+  EXPECT_EQ(reader.next(frame), FrameReader::Status::kNeedMore);
+  EXPECT_TRUE(reader.mid_frame());
+  reader.append(&stream.back(), 1);
+  ASSERT_EQ(reader.next(frame), FrameReader::Status::kFrame);
+  EXPECT_EQ(frame.type, FrameType::kStats);
+  EXPECT_TRUE(frame.payload.empty());
+  EXPECT_EQ(reader.next(frame), FrameReader::Status::kNeedMore);
+  EXPECT_FALSE(reader.mid_frame());
+}
+
+TEST(FrameReader, InPlaceReceivesMatchFeed) {
+  // The recv-style path (prepare + commit into the reader's own buffer)
+  // must cut the stream into exactly the frames feed() does, including
+  // when a partial frame has to slide to the front of the buffer.
+  std::vector<std::uint8_t> stream;
+  for (std::uint32_t id = 0; id < 40; ++id) {
+    encode_predict(stream, id, std::vector<double>(id % 7, 0.25));
+    encode_swap_resp(stream, id % 2 == 0, std::string(id, 'm'));
+  }
+  for (const std::size_t step : {std::size_t{1}, std::size_t{5}, std::size_t{64}, std::size_t{333}}) {
+    FrameReader fed;
+    Collected want;
+    ASSERT_TRUE(feed_in_steps(fed, stream, step, want));
+    ASSERT_EQ(want.types.size(), 80U);
+
+    FrameReader pulled;
+    Collected got;
+    FrameReader::Frame frame;
+    for (std::size_t off = 0; off < stream.size();) {
+      const std::span<std::uint8_t> space = pulled.prepare(16);
+      ASSERT_GE(space.size(), 16U);
+      const std::size_t take = std::min({step, stream.size() - off, space.size()});
+      std::copy_n(stream.begin() + static_cast<std::ptrdiff_t>(off), take, space.begin());
+      pulled.commit(take);
+      off += take;
+      while (pulled.next(frame) == FrameReader::Status::kFrame) {
+        got.types.push_back(frame.type);
+        got.payloads.emplace_back(frame.payload.begin(), frame.payload.end());
+      }
+    }
+    EXPECT_EQ(got.types, want.types) << "step " << step;
+    EXPECT_EQ(got.payloads, want.payloads) << "step " << step;
+    EXPECT_FALSE(pulled.mid_frame());
+  }
+}
+
+TEST(FrameReader, PoisonIsStickyUntilReset) {
+  std::vector<std::uint8_t> bad;
+  append_u32(bad, 0);
+  std::vector<std::uint8_t> fine;
+  encode_stats_req(fine);
+  FrameReader reader;
+  reader.append(fine.data(), fine.size());
+  reader.append(bad.data(), bad.size());
+  FrameReader::Frame frame;
+  ASSERT_EQ(reader.next(frame), FrameReader::Status::kFrame);  // frames before it still count
+  EXPECT_EQ(reader.next(frame), FrameReader::Status::kPoisoned);
+  reader.append(fine.data(), fine.size());
+  EXPECT_EQ(reader.next(frame), FrameReader::Status::kPoisoned);
+  EXPECT_FALSE(reader.mid_frame());  // the buffered bytes were discarded
+
+  reader.reset();  // a new stream starts clean
+  reader.append(fine.data(), fine.size());
+  ASSERT_EQ(reader.next(frame), FrameReader::Status::kFrame);
+  EXPECT_EQ(frame.type, FrameType::kStats);
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 /// interleaved connections, a peer vanishing mid-batch), hot-swap under
 /// load (version-tagged verification), protocol abuse (truncated /
 /// oversized / unknown frames, width mismatches, client disconnects),
-/// observability counters, and the zero-steady-state-allocation property
-/// of the request pool.
+/// observability counters, the zero-steady-state-allocation property
+/// of the request pool, pipelined bursts around the reactor's 64 KiB
+/// receive buffer, and ServeClient's buffered reads against a hand-driven
+/// socket (burst splitting, byte-at-a-time reassembly, bad lengths, the
+/// one-deadline timeout, moves, reconnects, and one thread sending while
+/// another reads).
 
 #include "pnm/serve/server.hpp"
 
@@ -16,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "pnm/core/model_io.hpp"
@@ -24,6 +29,7 @@
 #include "pnm/util/build_info.hpp"
 #include "pnm/util/fileio.hpp"
 #include "pnm/util/rng.hpp"
+#include "pnm/util/socket.hpp"
 
 namespace pnm::serve {
 namespace {
@@ -561,6 +567,268 @@ TEST(ServeServer, StartStopIsIdempotent) {
   // A stopped server's port no longer accepts.
   ServeClient client;
   EXPECT_FALSE(client.connect("127.0.0.1", port, 2));
+}
+
+// ---- reactor: pipelined bursts around the 64 KiB receive buffer --------
+
+/// Size of the reactor's receive buffer (`rx` in Server::io_loop): a read
+/// that fills it is not a short read, so the reactor reads again.
+constexpr std::size_t kReactorRx = 64 * 1024;
+
+/// Sends exactly `total_bytes` of pipelined predict frames in one write —
+/// v1 frames (61 bytes for 6 features) and v2 frames on the default route
+/// (62 bytes) mixed to hit the size — then checks that every request is
+/// answered once, bit-exact, and that the server's accounting balances.
+void expect_burst_of_bytes_served(std::size_t total_bytes, std::uint64_t seed) {
+  Server server({}, {make_model(seed), 0, "", ""});
+  server.start();
+  const QuantizedMlp reference = make_model(seed);
+
+  constexpr std::size_t kV1 = 61;
+  std::size_t count = (total_bytes + kV1) / (kV1 + 1);  // ceil(total / 62)
+  const std::size_t v2_frames = total_bytes - kV1 * count;
+  ASSERT_LE(v2_frames, count);
+  const auto samples = make_samples(count, 6, seed + 100);
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto id = static_cast<std::uint32_t>(i);
+    if (i < v2_frames) {
+      encode_predict_v2(burst, id, "", samples[i]);
+    } else {
+      encode_predict(burst, id, samples[i]);
+    }
+  }
+  ASSERT_EQ(burst.size(), total_bytes);
+
+  ServeClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.send_raw(burst.data(), burst.size()));
+  InferScratch scratch;
+  PredictResponse resp;
+  std::vector<int> seen(count, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_TRUE(client.read_predict(resp)) << "response " << i << " of " << count;
+    ASSERT_LT(resp.id, count);
+    ++seen[resp.id];
+    EXPECT_EQ(resp.predicted_class, offline_predict(reference, samples[resp.id], scratch));
+  }
+  for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(seen[i], 1) << "id " << i;
+
+  ASSERT_TRUE(wait_for_stats(server, [&](const MetricsSnapshot& s) {
+    return s.responses_total == count;
+  }));
+  const MetricsSnapshot stats = server.stats();
+  expect_balanced(stats);
+  EXPECT_EQ(stats.requests_total, count);
+  EXPECT_EQ(stats.protocol_errors, 0U);
+  EXPECT_EQ(stats.dropped_responses, 0U);
+  server.stop();
+}
+
+TEST(ServeServer, BurstOfExactlyTheReceiveBufferIsAnsweredBitExact) {
+  expect_burst_of_bytes_served(kReactorRx, 31);
+}
+
+TEST(ServeServer, BurstStraddlingTheReceiveBufferIsAnsweredBitExact) {
+  expect_burst_of_bytes_served(kReactorRx + 100, 32);
+  expect_burst_of_bytes_served(2 * kReactorRx + 7, 33);
+}
+
+// ---- ServeClient against a hand-driven socket ---------------------------
+
+/// A raw listening socket standing in for a server, so a test controls
+/// exactly which bytes reach the client and how they are split.
+class FakeServer {
+ public:
+  FakeServer() : listen_fd_(tcp_listen(0)) {}
+  ~FakeServer() {
+    close_peer();
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+  }
+  FakeServer(const FakeServer&) = delete;
+  FakeServer& operator=(const FakeServer&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return tcp_local_port(listen_fd_); }
+
+  /// Accepts the client's connection, replacing any earlier one.
+  bool accept() {
+    close_peer();
+    for (int i = 0; i < 1000 && peer_fd_ < 0; ++i) {
+      peer_fd_ = tcp_accept(listen_fd_);
+      if (peer_fd_ < 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return peer_fd_ >= 0;
+  }
+
+  /// Writes `bytes` in one send call sequence.
+  bool write(const std::vector<std::uint8_t>& bytes) {
+    return send_all(peer_fd_, bytes.data(), bytes.size());
+  }
+
+  void close_peer() {
+    if (peer_fd_ >= 0) ::close(peer_fd_);
+    peer_fd_ = -1;
+  }
+
+ private:
+  int listen_fd_;
+  int peer_fd_ = -1;
+};
+
+/// A connected (client, fake server) pair.
+struct ClientPair {
+  FakeServer server;
+  ServeClient client;
+
+  ClientPair() {
+    EXPECT_TRUE(client.connect("127.0.0.1", server.port()));
+    EXPECT_TRUE(server.accept());
+  }
+};
+
+std::vector<std::uint8_t> predict_resp_frames(std::uint32_t first, std::uint32_t n) {
+  std::vector<std::uint8_t> bytes;
+  for (std::uint32_t id = first; id < first + n; ++id) encode_predict_resp(bytes, id, 1, id % 3);
+  return bytes;
+}
+
+void expect_resp(ServeClient& client, std::uint32_t id, int timeout_ms = 5000) {
+  PredictResponse resp;
+  ASSERT_TRUE(client.read_predict(resp, timeout_ms)) << "id " << id;
+  EXPECT_EQ(resp.id, id);
+  EXPECT_EQ(resp.model_version, 1U);
+  EXPECT_EQ(resp.predicted_class, id % 3);
+}
+
+TEST(ServeClient, FramesSentInOneWriteComeBackInOrder) {
+  ClientPair pair;
+  std::vector<std::uint8_t> bytes = predict_resp_frames(0, 50);
+  encode_swap_resp(bytes, true, "model default version 2");
+  ASSERT_TRUE(pair.server.write(bytes));
+  for (std::uint32_t id = 0; id < 50; ++id) expect_resp(pair.client, id);
+  ClientFrame frame;
+  ASSERT_TRUE(pair.client.read_frame(frame));
+  EXPECT_EQ(frame.type, FrameType::kSwapResp);
+  bool ok = false;
+  std::string message;
+  ASSERT_TRUE(decode_swap_resp(frame.payload, ok, message));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(message, "model default version 2");
+}
+
+TEST(ServeClient, FrameSentOneBytePerWriteReassembles) {
+  ClientPair pair;
+  const std::vector<std::uint8_t> bytes = predict_resp_frames(7, 2);
+  std::thread trickle([&] {
+    for (const std::uint8_t b : bytes) {
+      ASSERT_TRUE(pair.server.write({b}));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  expect_resp(pair.client, 7);
+  expect_resp(pair.client, 8);
+  trickle.join();
+}
+
+TEST(ServeClient, BadFrameLengthsFailAndLaterReadsKeepFailing) {
+  for (const std::uint32_t len : {std::uint32_t{0},
+                                  static_cast<std::uint32_t>(kDefaultMaxFrameBytes + 1)}) {
+    ClientPair pair;
+    std::vector<std::uint8_t> bytes;
+    append_u32(bytes, len);
+    bytes.push_back(static_cast<std::uint8_t>(FrameType::kPredictResp));
+    // A well-formed frame after the bad length must not resynchronize.
+    const std::vector<std::uint8_t> good = predict_resp_frames(1, 1);
+    bytes.insert(bytes.end(), good.begin(), good.end());
+    ASSERT_TRUE(pair.server.write(bytes));
+    ClientFrame frame;
+    EXPECT_FALSE(pair.client.read_frame(frame, 2000)) << "length " << len;
+    EXPECT_FALSE(pair.client.read_frame(frame, 200)) << "length " << len;
+    PredictResponse resp;
+    EXPECT_FALSE(pair.client.read_predict(resp, 200)) << "length " << len;
+  }
+}
+
+TEST(ServeClient, PartialFrameThenSilenceFailsAfterOneTimeout) {
+  // The length arrives late in the call and part of the body with it; the
+  // rest never comes.  One deadline covers the whole read, so the call
+  // fails at the timeout, not at the length's arrival plus a second one.
+  constexpr int kTimeoutMs = 400;
+  ClientPair pair;
+  const std::vector<std::uint8_t> frame = predict_resp_frames(3, 1);
+  std::thread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(kTimeoutMs * 3 / 4));
+    ASSERT_TRUE(pair.server.write({frame.begin(), frame.begin() + 9}));
+  });
+  const auto start = std::chrono::steady_clock::now();
+  PredictResponse resp;
+  EXPECT_FALSE(pair.client.read_predict(resp, kTimeoutMs));
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  late.join();
+  EXPECT_GE(waited, kTimeoutMs);
+  EXPECT_LT(waited, kTimeoutMs * 3 / 2);
+}
+
+TEST(ServeClient, MovedToClientReturnsFramesBufferedBeforeTheMove) {
+  ClientPair pair;
+  ASSERT_TRUE(pair.server.write(predict_resp_frames(0, 3)));
+  expect_resp(pair.client, 0);  // one recv takes in all three frames
+  pair.server.close_peer();     // nothing more can arrive
+
+  ServeClient moved(std::move(pair.client));
+  // A moved-from client is specified as closed and empty.
+  EXPECT_FALSE(pair.client.connected());  // NOLINT(bugprone-use-after-move)
+  ClientFrame frame;
+  EXPECT_FALSE(pair.client.read_frame(frame, 100));  // NOLINT(bugprone-use-after-move)
+  expect_resp(moved, 1);
+  ServeClient assigned;
+  assigned = std::move(moved);
+  expect_resp(assigned, 2);
+  EXPECT_FALSE(assigned.read_frame(frame, 1000));  // the peer closed
+}
+
+TEST(ServeClient, ReconnectDiscardsBytesOfTheOldConnection) {
+  ClientPair pair;
+  ASSERT_TRUE(pair.server.write(predict_resp_frames(0, 2)));
+  expect_resp(pair.client, 0);  // frame 1 is now buffered
+  pair.client.close();
+  ASSERT_TRUE(pair.client.connect("127.0.0.1", pair.server.port()));
+  ASSERT_TRUE(pair.server.accept());
+  ASSERT_TRUE(pair.server.write(predict_resp_frames(40, 1)));
+  expect_resp(pair.client, 40);
+}
+
+TEST(ServeClient, OneThreadSendsWhileAnotherReads) {
+  Server server({}, {make_model(34), 0, "", ""});
+  server.start();
+  const QuantizedMlp reference = make_model(34);
+  constexpr std::size_t kRequests = 400;
+  const auto samples = make_samples(kRequests, 6, 35);
+
+  ServeClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  std::thread sender([&] {
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const auto id = static_cast<std::uint32_t>(i);
+      const bool ok = i % 2 == 0 ? client.send_predict(id, samples[i])
+                                 : client.send_predict_v2(id, "", samples[i]);
+      ASSERT_TRUE(ok) << "request " << i;
+    }
+  });
+  InferScratch scratch;
+  PredictResponse resp;
+  std::vector<int> seen(kRequests, 0);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client.read_predict(resp, 20000 * pnm::build_info::timing_multiplier()));
+    ASSERT_LT(resp.id, kRequests);
+    ++seen[resp.id];
+    EXPECT_EQ(resp.predicted_class, offline_predict(reference, samples[resp.id], scratch));
+  }
+  sender.join();
+  for (std::size_t i = 0; i < kRequests; ++i) EXPECT_EQ(seen[i], 1) << "id " << i;
+  server.stop();
 }
 
 }  // namespace
