@@ -21,9 +21,10 @@
 ///      responses_total.
 ///
 /// One latency gate rides along outside sanitizer builds: at 2k rps a
-/// lone request must not wait out the batch deadline, so the 1-reactor
-/// 2k-rps p50 must sit below `batch_deadline_us` (the batcher departs at
-/// once when no batch is in flight; the deadline only caps coalescing).
+/// lone request must not wait out the batch deadline, so the median p50
+/// of three 1-reactor 2k-rps runs must sit below `batch_deadline_us` (the
+/// batcher departs at once when no batch is in flight; the deadline only
+/// caps coalescing).  That run is also the row recorded for 2k rps.
 ///
 /// What it records: client-side exact p50/p99/mean latency per offered
 /// rate (1-reactor ladder, `serve_latency` rows) and aggregate two-model
@@ -32,6 +33,7 @@
 /// container pins everything to few cores, so the 2/4-reactor rows
 /// record measured numbers, not a scaling claim.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -220,13 +222,24 @@ int main() {
         load.total_requests = static_cast<std::size_t>(rate / 4.0);  // ~250ms each
         load.samples = &samples;
         load.verify[1] = &design_a;
-        const LoadGenReport report = run_load(load);
-        if (!report.ok()) {
-          return fail(cell + "rate " + std::to_string(rate) +
-                      ": sent=" + std::to_string(report.sent) +
-                      " received=" + std::to_string(report.received) +
-                      " mismatches=" + std::to_string(report.mismatches));
+        // The gated 2k-rps row is the median-p50 run of three, so one
+        // host stall in a ~0.25 s run cannot fail the latency gate alone.
+        const bool gated = slow == 1 && base_rate == 2000.0;
+        std::vector<LoadGenReport> runs;
+        for (int run = 0; run < (gated ? 3 : 1); ++run) {
+          LoadGenReport report = run_load(load);
+          if (!report.ok()) {
+            return fail(cell + "rate " + std::to_string(rate) +
+                        ": sent=" + std::to_string(report.sent) +
+                        " received=" + std::to_string(report.received) +
+                        " mismatches=" + std::to_string(report.mismatches));
+          }
+          runs.push_back(std::move(report));
         }
+        std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+          return a.p50_us < b.p50_us;
+        });
+        const LoadGenReport& report = runs[runs.size() / 2];
         RateRow row;
         row.offered_rps = report.offered_rps;
         row.achieved_rps = report.achieved_rps;
@@ -236,9 +249,8 @@ int main() {
         row.requests = report.sent;
         row.received = report.received;
         latency_rows.push_back(row);
-        if (slow == 1 && base_rate == 2000.0 &&
-            report.p50_us >= static_cast<double>(config.batch_deadline_us)) {
-          return fail(cell + "2k rps p50 " + std::to_string(report.p50_us) +
+        if (gated && report.p50_us >= static_cast<double>(config.batch_deadline_us)) {
+          return fail(cell + "2k rps median p50 " + std::to_string(report.p50_us) +
                       "us is not below the " + std::to_string(config.batch_deadline_us) +
                       "us batch deadline: lone requests are waiting it out");
         }

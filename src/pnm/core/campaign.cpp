@@ -459,24 +459,30 @@ CampaignResult CampaignRunner::run() {
   if (!spec_.store_dir.empty()) {
     std::filesystem::create_directories(spec_.store_dir);
   }
+  // Every cell is one iteration of a parallel_for on the campaign's pool,
+  // and fans its own generations over the same pool: a thread waiting on
+  // one cell's batch runs another cell's genomes instead of parking (see
+  // ThreadPool::parallel_for).  Cells are pure functions of (spec,
+  // dataset, seed), so the overlap leaves every front unchanged.
   CampaignResult result;
   result.datasets = spec_.datasets;
-  for (const std::string& dataset : spec_.datasets) {
-    for (std::uint64_t seed : spec_.seeds) {
-      result.runs.push_back(run_cell(dataset, seed));
-    }
-  }
+  const std::size_t n_seeds = spec_.seeds.size();
+  result.runs.resize(spec_.datasets.size() * n_seeds);
+  pool_.parallel_for(result.runs.size(), [&](std::size_t cell) {
+    result.runs[cell] = run_cell(spec_.datasets[cell / n_seeds], spec_.seeds[cell % n_seeds]);
+  });
   return result;
 }
 
 CampaignRunResult CampaignRunner::run_cell(const std::string& dataset,
                                            std::uint64_t seed) {
   const auto start = std::chrono::steady_clock::now();
-  // MCM plan-cache lookups attributed to this cell (cells run serially in
-  // a process, so counter deltas are exact): both the proxy's area pricing
-  // and the netlist generator's front re-evaluation go through
-  // hw::plan_mcm_cached.
-  const hw::McmCacheStats mcm_before = hw::mcm_plan_cache_stats();
+  // MCM plan-cache lookups of this cell, wherever they run: both the
+  // proxy's area pricing and the netlist generator's front re-evaluation
+  // go through hw::plan_mcm_cached, on this thread or on the pool threads
+  // its ParallelEvaluators hand the tally to.
+  hw::McmTally mcm;
+  const hw::McmTallyScope mcm_scope(&mcm);
 
   FlowConfig config = spec_.base;
   config.dataset_name = dataset;
@@ -529,9 +535,8 @@ CampaignRunResult CampaignRunner::run_cell(const std::string& dataset,
   run.cache_hits = fitness->hits() + front_eval->hits();
   run.cache_misses = fitness->misses() + front_eval->misses();
   run.store_loaded = fitness->loaded() + front_eval->loaded();
-  const hw::McmCacheStats mcm_after = hw::mcm_plan_cache_stats();
-  run.mcm_hits = static_cast<std::size_t>(mcm_after.hits - mcm_before.hits);
-  run.mcm_misses = static_cast<std::size_t>(mcm_after.misses - mcm_before.misses);
+  run.mcm_hits = static_cast<std::size_t>(mcm.hits.load());
+  run.mcm_misses = static_cast<std::size_t>(mcm.misses.load());
   run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                               start)
                     .count();

@@ -25,8 +25,15 @@
 /// the store round-trips doubles exactly — asserted in
 /// tests/core_campaign_test.cpp and in CI).
 ///
-/// Cross-process scheduling: run() executes every cell in-process, in
-/// spec order.  run_worker() instead treats each cell as a *claimable
+/// In-process scheduling: run() executes the cells concurrently as one
+/// ThreadPool::parallel_for on that same pool — no extra threads — and
+/// each cell fans its GA generations over the pool too, so a thread
+/// waiting on one cell's generation (or idle during another cell's
+/// serial flow preparation) runs other cells' genomes.  Every cell is a
+/// pure function of (spec, dataset, seed), so results land in their
+/// spec-order slots byte-identical to a serial run.
+///
+/// Cross-process scheduling: run_worker() instead treats each cell as a *claimable
 /// unit* in the shared store directory — a worker flock-claims
 /// `claims/<cell>.claim`, runs the cell, and atomically publishes its
 /// result as `cells/<cell>.cell`; cells already published are skipped,
@@ -146,16 +153,20 @@ struct CampaignRunResult {
   std::size_t cache_hits = 0;          ///< across both evaluator stacks
   std::size_t cache_misses = 0;        ///< fresh evaluations actually run
   std::size_t store_loaded = 0;        ///< records preloaded from disk
-  /// MCM plan-cache lookups during this cell (hw/mcm.hpp memoized
-  /// planner), counted as deltas of the process-wide counters around the
-  /// cell: both the proxy pricing and the exact netlist front
+  /// MCM plan-cache lookups made by this cell (hw/mcm.hpp memoized
+  /// planner): both the proxy pricing and the exact netlist front
   /// re-evaluation route per-column coefficient multisets through
   /// plan_mcm_cached, so the hit rate shows how much DAG planning the
-  /// memoization saved.  Cells run serially within a process, so the
-  /// deltas attribute cleanly.
+  /// memoization saved.  Counted in a per-cell hw::McmTally on whichever
+  /// thread does the cell's work, so concurrent cells attribute exactly
+  /// (the cells' sums equal the process-wide counters' delta).  Which
+  /// cell misses first on a shared plan depends on the schedule, so the
+  /// hit/miss split of concurrent cells is not deterministic.
   std::size_t mcm_hits = 0;
   std::size_t mcm_misses = 0;           ///< fresh MCM DAG plans computed
-  double seconds = 0.0;                ///< wall time of the cell
+  /// Wall time of the cell.  run() overlaps cells, so their seconds
+  /// overlap too and may sum to more than the campaign's wall time.
+  double seconds = 0.0;
 };
 
 /// Serializes one cell outcome as the deterministic text published under
@@ -224,17 +235,19 @@ struct CampaignResult {
   [[nodiscard]] std::string report_markdown() const;
 };
 
-/// Executes a CampaignSpec cell by cell.  Construction validates the spec
-/// and spawns the shared worker pool; run() does the work and may be
-/// called once per runner.
+/// Executes a CampaignSpec.  Construction validates the spec and spawns
+/// the shared worker pool; run() does the work and may be called once per
+/// runner.
 class CampaignRunner {
  public:
   /// \throws std::invalid_argument via CampaignSpec/GaConfig validation.
   explicit CampaignRunner(CampaignSpec spec);
 
-  /// Runs every (dataset, seed) cell in spec order and returns the
-  /// aggregated result.  With a store_dir, creates the directory and
-  /// resumes from any fingerprint-matching stores inside it.
+  /// Runs every (dataset, seed) cell, concurrently on the shared pool,
+  /// and returns the aggregated result.  With a store_dir, creates the
+  /// directory and resumes from any fingerprint-matching stores inside it.
+  /// If a cell throws, cells not yet started are skipped and the first
+  /// exception propagates.
   /// \return the aggregated campaign outcome (all cells, spec order).
   CampaignResult run();
 

@@ -6,6 +6,7 @@
 #include "pnm/core/eval_store.hpp"
 #include "pnm/core/prune.hpp"
 #include "pnm/core/quantize.hpp"
+#include "pnm/hw/mcm.hpp"
 #include "pnm/hw/proxy.hpp"
 #include "pnm/util/rng.hpp"
 
@@ -40,11 +41,14 @@ std::vector<DesignPoint> Evaluator::evaluate_batch(std::span<const Genome> genom
 PipelineEvaluator::PipelineEvaluator(const Mlp& model, const DataSplit& split,
                                      const hw::TechLibrary& tech, EvalConfig config)
     : model_(&model), split_(&split), tech_(&tech), config_(std::move(config)) {
-  // Quantize each split once; all genome evaluations stream the same
-  // read-only flat buffers (the GA re-scores thousands of candidates on
-  // identical data, so re-deriving the codes per genome was pure waste).
-  qval_ = quantize_dataset(split.val, config_.input_bits);
-  qtest_ = quantize_dataset(split.test, config_.input_bits);
+  // The training split is validated here, once, rather than on every
+  // fine-tuning fit() (Trainer::fit checks only shapes).
+  split.train.validate();
+  // Quantize the reporting split once; all genome evaluations stream the
+  // same read-only flat buffer (the GA re-scores thousands of candidates
+  // on identical data, so re-deriving the codes per genome was pure waste).
+  qreport_ = quantize_dataset(config_.use_test_set ? split.test : split.val,
+                              config_.input_bits);
 }
 
 Mlp PipelineEvaluator::minimize_float(const Genome& genome) const {
@@ -259,7 +263,11 @@ void CachedEvaluator::clear() {
 std::vector<DesignPoint> ParallelEvaluator::evaluate_batch(
     std::span<const Genome> genomes) {
   std::vector<DesignPoint> points(genomes.size());
-  pool_->parallel_for(genomes.size(), [this, genomes, &points](std::size_t i) {
+  // Whichever thread runs an evaluation counts its MCM plan lookups into
+  // the caller's tally (the cell this batch belongs to).
+  hw::McmTally* const tally = hw::current_mcm_tally();
+  pool_->parallel_for(genomes.size(), [this, genomes, &points, tally](std::size_t i) {
+    const hw::McmTallyScope scope(tally);
     points[i] = inner_->evaluate(genomes[i]);
   });
   return points;

@@ -104,9 +104,12 @@ class Evaluator {
 /// MinimizationFlow (or other owner) must outlive the evaluator.
 class PipelineEvaluator : public Evaluator {
  public:
-  /// Quantizes the validation and test splits once at config.input_bits;
-  /// every evaluation (on every thread) then reads the shared flat code
-  /// buffers instead of re-quantizing the dataset per genome.
+  /// Quantizes the reporting split (test if config.use_test_set, else
+  /// validation) once at config.input_bits; every evaluation (on every
+  /// thread) then reads the shared flat code buffer instead of
+  /// re-quantizing the dataset per genome.  Validates the training split
+  /// once, since the fine-tuning fit() of each evaluation does not.
+  /// \throws std::invalid_argument  on a ragged or non-finite split.
   PipelineEvaluator(const Mlp& model, const DataSplit& split,
                     const hw::TechLibrary& tech, EvalConfig config);
 
@@ -122,9 +125,7 @@ class PipelineEvaluator : public Evaluator {
 
   /// The pre-quantized reporting split this evaluator scores accuracy on
   /// (validation unless config().use_test_set).
-  [[nodiscard]] const QuantizedDataset& reporting_set() const {
-    return config_.use_test_set ? qtest_ : qval_;
-  }
+  [[nodiscard]] const QuantizedDataset& reporting_set() const { return qreport_; }
 
  protected:
   /// Fills the cost fields (area, and power/delay if available) of an
@@ -142,10 +143,10 @@ class PipelineEvaluator : public Evaluator {
   const DataSplit* split_;
   const hw::TechLibrary* tech_;
   EvalConfig config_;
-  /// Splits quantized once at construction (per input_bits); immutable
-  /// afterwards, so concurrent evaluations share them without locking.
-  QuantizedDataset qval_;
-  QuantizedDataset qtest_;
+  /// The reporting split, quantized once at construction (per
+  /// input_bits); immutable afterwards, so concurrent evaluations share it
+  /// without locking.
+  QuantizedDataset qreport_;
 };
 
 /// Fast analytic area proxy (pnm/hw/proxy.hpp); leaves power/delay at 0.

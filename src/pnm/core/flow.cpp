@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "pnm/data/synth.hpp"
 #include "pnm/nn/metrics.hpp"
@@ -32,10 +33,13 @@ void MinimizationFlow::prepare() {
   if (prepared_) return;
   Dataset data = external_data_ ? *external_data_
                                 : make_named_dataset(config_.dataset_name, config_.seed);
-  data.validate();
+  const std::size_t n_features = data.n_features();
+  const std::size_t n_classes = data.n_classes;
 
+  // The split validates the dataset and moves its rows into the parts;
+  // scaling then rewrites them in place, so no second copy is ever live.
   Rng rng(config_.seed);
-  split_ = stratified_split(data, config_.train_frac, config_.val_frac,
+  split_ = stratified_split(std::move(data), config_.train_frac, config_.val_frac,
                             config_.test_frac, rng);
   scale_split(split_, scaler_);
 
@@ -43,9 +47,9 @@ void MinimizationFlow::prepare() {
   std::vector<std::size_t> hidden =
       config_.hidden.empty() ? default_hidden(config_.dataset_name) : config_.hidden;
   std::vector<std::size_t> topology;
-  topology.push_back(data.n_features());
+  topology.push_back(n_features);
   topology.insert(topology.end(), hidden.begin(), hidden.end());
-  topology.push_back(data.n_classes);
+  topology.push_back(n_classes);
 
   model_ = Mlp(topology, rng);
   Trainer trainer(config_.train);

@@ -653,7 +653,8 @@ ScenarioResult ScenarioRunner::run() {
 
 ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
   const auto start = std::chrono::steady_clock::now();
-  const hw::McmCacheStats mcm_before = hw::mcm_plan_cache_stats();
+  hw::McmTally mcm;  // this cell's MCM plan lookups (see CampaignRunner)
+  const hw::McmTallyScope mcm_scope(&mcm);
 
   const FlowConfig config = cell_flow_config(spec_, cell);
   MinimizationFlow flow(config);
@@ -773,9 +774,8 @@ ScenarioCellResult ScenarioRunner::run_cell(const ScenarioCell& cell) {
       fitness->misses() + front_eval->misses() + fidelity_eval->misses();
   result.store_loaded =
       fitness->loaded() + front_eval->loaded() + fidelity_eval->loaded();
-  const hw::McmCacheStats mcm_after = hw::mcm_plan_cache_stats();
-  result.mcm_hits = static_cast<std::size_t>(mcm_after.hits - mcm_before.hits);
-  result.mcm_misses = static_cast<std::size_t>(mcm_after.misses - mcm_before.misses);
+  result.mcm_hits = static_cast<std::size_t>(mcm.hits.load());
+  result.mcm_misses = static_cast<std::size_t>(mcm.misses.load());
   result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                  start)
                        .count();

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace pnm {
 
@@ -30,7 +31,27 @@ std::vector<std::size_t> Dataset::class_histogram() const {
   return hist;
 }
 
-DataSplit stratified_split(const Dataset& data, double train_frac, double val_frac,
+namespace {
+
+/// The rows at `indices` (order preserved), moved out of `data`; the
+/// indices must be distinct.
+Dataset take_rows(Dataset& data, const std::vector<std::size_t>& indices,
+                  const char* suffix) {
+  Dataset out;
+  out.name = data.name + suffix;
+  out.n_classes = data.n_classes;
+  out.x.reserve(indices.size());
+  out.y.reserve(indices.size());
+  for (std::size_t i : indices) {
+    out.x.push_back(std::move(data.x[i]));
+    out.y.push_back(data.y[i]);
+  }
+  return out;
+}
+
+}  // namespace
+
+DataSplit stratified_split(Dataset data, double train_frac, double val_frac,
                            double test_frac, Rng& rng) {
   if (train_frac <= 0.0 || val_frac < 0.0 || test_frac < 0.0 ||
       train_frac + val_frac + test_frac > 1.0 + 1e-9) {
@@ -59,12 +80,9 @@ DataSplit stratified_split(const Dataset& data, double train_frac, double val_fr
   rng.shuffle(test_idx);
 
   DataSplit split;
-  split.train = subset(data, train_idx);
-  split.val = subset(data, val_idx);
-  split.test = subset(data, test_idx);
-  split.train.name = data.name + "-train";
-  split.val.name = data.name + "-val";
-  split.test.name = data.name + "-test";
+  split.train = take_rows(data, train_idx, "-train");
+  split.val = take_rows(data, val_idx, "-val");
+  split.test = take_rows(data, test_idx, "-test");
   return split;
 }
 

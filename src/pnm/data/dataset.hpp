@@ -45,7 +45,9 @@ struct DataSplit {
 /// minority classes (the wines are heavily imbalanced) appear in all three
 /// parts.  Fractions must be positive and train+val+test fractions <= 1;
 /// the remainder (if any) is dropped.  Deterministic given the rng state.
-DataSplit stratified_split(const Dataset& data, double train_frac, double val_frac,
+/// Validates `data` (so every part is valid) and moves its rows into the
+/// parts: pass an rvalue to split without copying the samples.
+DataSplit stratified_split(Dataset data, double train_frac, double val_frac,
                            double test_frac, Rng& rng);
 
 /// Returns the subset of samples whose indices are listed (order preserved).

@@ -1,6 +1,7 @@
 #include "pnm/data/scaler.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 
@@ -38,9 +39,9 @@ Dataset MinMaxScaler::transform(const Dataset& data) const {
 
 void scale_split(DataSplit& split, MinMaxScaler& scaler) {
   scaler.fit(split.train);
-  split.train = scaler.transform(split.train);
-  split.val = scaler.transform(split.val);
-  split.test = scaler.transform(split.test);
+  for (Dataset* part : {&split.train, &split.val, &split.test}) {
+    for (std::vector<double>& row : part->x) scaler.transform(row);
+  }
 }
 
 }  // namespace pnm

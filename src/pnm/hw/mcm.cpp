@@ -290,7 +290,15 @@ McmPlanCache& plan_cache() {
 /// realistic working set; it only bounds degenerate sweeps.
 constexpr std::size_t kMaxCachedPlans = 1 << 16;
 
+thread_local McmTally* t_tally = nullptr;
+
 }  // namespace
+
+McmTallyScope::McmTallyScope(McmTally* tally) : previous_(t_tally) { t_tally = tally; }
+
+McmTallyScope::~McmTallyScope() { t_tally = previous_; }
+
+McmTally* current_mcm_tally() { return t_tally; }
 
 std::shared_ptr<const McmPlan> plan_mcm_cached(const std::vector<std::int64_t>& coefficients,
                                                const MultOptions& options) {
@@ -311,6 +319,7 @@ std::shared_ptr<const McmPlan> plan_mcm_cached(const std::vector<std::int64_t>& 
     const auto it = cache.plans.find(key);
     if (it != cache.plans.end()) {
       ++cache.hits;
+      if (t_tally != nullptr) t_tally->hits.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
@@ -318,6 +327,7 @@ std::shared_ptr<const McmPlan> plan_mcm_cached(const std::vector<std::int64_t>& 
   // threads racing on the same fresh key just do the (deterministic,
   // identical) work twice, once ever.
   auto plan = std::make_shared<const McmPlan>(plan_mcm(coefficients, options));
+  if (t_tally != nullptr) t_tally->misses.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(cache.mu);
   ++cache.misses;
   if (cache.plans.size() >= kMaxCachedPlans) cache.plans.clear();

@@ -30,6 +30,7 @@
 /// see percy (Soeken et al.), which this greedy planner is a lightweight
 /// arithmetic-domain cousin of.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -131,6 +132,34 @@ McmCacheStats mcm_plan_cache_stats();
 
 /// Empties the plan cache and zeroes its counters (tests, benchmarks).
 void mcm_plan_cache_reset();
+
+/// Lookups of plan_mcm_cached attributed to one unit of work (a campaign
+/// or scenario cell).  The process-wide counters cannot attribute lookups
+/// once units overlap in time, so each unit installs its own tally on the
+/// threads that do its work (McmTallyScope) and reads it afterwards.
+struct McmTally {
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> misses{0};
+};
+
+/// While alive, plan_mcm_cached lookups on this thread also count into
+/// `tally` (null counts nowhere).  Scopes nest; the destructor reinstates
+/// the previous tally, so a thread that runs another unit's work inside a
+/// wait attributes it to that unit and then returns to its own.
+class McmTallyScope {
+ public:
+  explicit McmTallyScope(McmTally* tally);
+  ~McmTallyScope();
+  McmTallyScope(const McmTallyScope&) = delete;
+  McmTallyScope& operator=(const McmTallyScope&) = delete;
+
+ private:
+  McmTally* previous_;
+};
+
+/// The tally installed on this thread (null when none is).  Work handed to
+/// other threads carries it there (see ParallelEvaluator::evaluate_batch).
+McmTally* current_mcm_tally();
 
 }  // namespace pnm::hw
 

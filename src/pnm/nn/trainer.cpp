@@ -214,9 +214,11 @@ Trainer::Trainer(TrainConfig config) : config_(config) {
 }
 
 TrainResult Trainer::fit(Mlp& model, const Dataset& train, Rng& rng) {
-  train.validate();
+  // Row contents were validated where the split was built (see fit()'s
+  // contract); only the O(1) shape checks run per call.
   if (train.size() == 0) throw std::invalid_argument("Trainer::fit: empty dataset");
-  if (train.n_features() != model.input_size() || train.n_classes > model.output_size()) {
+  if (train.y.size() != train.x.size() || train.n_features() != model.input_size() ||
+      train.n_classes > model.output_size()) {
     throw std::invalid_argument("Trainer::fit: dataset/model shape mismatch");
   }
 

@@ -159,6 +159,14 @@ class Trainer {
   void set_projector(Projector projector) { projector_ = std::move(projector); }
 
   /// Trains and returns the per-epoch loss trace. Deterministic given rng.
+  ///
+  /// `train` must already pass Dataset::validate(): fit() runs on every
+  /// genome evaluation, so it checks only O(1) shapes (non-empty, one
+  /// label per row, feature and class counts against the model).  Splits
+  /// are validated where they are built or handed over — stratified_split,
+  /// MinimizationFlow::prepare and the PipelineEvaluator constructor.
+  /// \throws std::invalid_argument  on an empty dataset or a shape
+  ///         mismatch.
   TrainResult fit(Mlp& model, const Dataset& train, Rng& rng);
 
   [[nodiscard]] const TrainConfig& config() const { return config_; }

@@ -373,7 +373,14 @@ void Server::io_loop(std::size_t reactor) {
         FrameReader::Frame frame;
         FrameReader::Status status = FrameReader::Status::kNeedMore;
         while ((status = reader.next(frame)) == FrameReader::Status::kFrame) {
-          if (!dispatch(conn, frame)) drop = true;
+          if (!dispatch(conn, frame)) {
+            // The connection is refused: frames behind the bad one are
+            // discarded unread, not admitted, and being whole they are
+            // not a truncation either.
+            reader.reset();
+            drop = true;
+            break;
+          }
         }
         if (status == FrameReader::Status::kPoisoned && !drop) {
           // Framing violation (zero/oversized length): unrecoverable.

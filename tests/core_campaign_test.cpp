@@ -17,6 +17,7 @@
 #include <string>
 
 #include "pnm/core/eval_store.hpp"
+#include "pnm/hw/mcm.hpp"
 #include "pnm/util/fileio.hpp"
 
 namespace pnm {
@@ -396,7 +397,7 @@ TEST(Campaign, ReportsNameDatasetsAndStats) {
 }
 
 /// With MCM sharing on, every netlist front re-evaluation consults the
-/// plan cache, so a cell's hit/miss deltas must record activity; the
+/// plan cache, so a cell's hit/miss tallies must record activity; the
 /// totals and hit rate must be visible in both report renderings.
 TEST(Campaign, McmPlanCacheCountersRecordWithSharingEnabled) {
   CampaignSpec spec = tiny_spec();
@@ -420,6 +421,63 @@ TEST(Campaign, McmPlanCacheCountersRecordWithSharingEnabled) {
   const CampaignResult off = CampaignRunner(tiny_spec()).run();
   ASSERT_EQ(off.runs.size(), 1u);
   EXPECT_EQ(off.runs[0].mcm_hits + off.runs[0].mcm_misses, 0u);
+}
+
+/// report_json with every per-cell "seconds" value blanked: the only
+/// field of the report that is a measurement rather than a result.
+std::string without_seconds(std::string report) {
+  const std::string key = "\"seconds\": ";
+  for (std::size_t at = report.find(key); at != std::string::npos;
+       at = report.find(key, at + 1)) {
+    const std::size_t value = at + key.size();
+    report.replace(value, report.find_first_of(",}", value) - value, "_");
+  }
+  return report;
+}
+
+TEST(Campaign, ConcurrentRunMatchesSerialWorkerPass) {
+  // Four cells of unequal size (the paper's datasets differ ~20x in
+  // samples), two seeds each, run concurrently by run() and one cell at a
+  // time by a worker pass: same fronts, same counters.
+  CampaignSpec spec = tiny_spec();
+  spec.datasets = {"seeds", "redwine", "whitewine", "pendigits"};
+  spec.seeds = {5, 6};
+  spec.threads = 3;
+  spec.store_dir = fresh_store_dir("concurrent_run");
+  const CampaignResult concurrent = CampaignRunner(spec).run();
+  ASSERT_EQ(concurrent.runs.size(), 8u);
+
+  CampaignSpec serial_spec = spec;
+  serial_spec.store_dir = fresh_store_dir("concurrent_serial_ref");
+  const CampaignWorkerResult pass = CampaignRunner(serial_spec).run_worker(0, 1);
+  EXPECT_EQ(pass.cells_run, 8u);
+  const std::optional<CampaignResult> serial = collect_campaign(serial_spec);
+  ASSERT_TRUE(serial.has_value());
+
+  EXPECT_EQ(concurrent.fronts_json(), serial->fronts_json());
+  EXPECT_EQ(without_seconds(concurrent.report_json()),
+            without_seconds(serial->report_json()));
+  for (std::size_t i = 0; i < concurrent.runs.size(); ++i) {
+    EXPECT_EQ(concurrent.runs[i].dataset, spec.datasets[i / 2]) << i;
+    EXPECT_EQ(concurrent.runs[i].seed, spec.seeds[i % 2]) << i;
+  }
+}
+
+TEST(Campaign, ConcurrentCellsTallyTheirOwnMcmLookups) {
+  CampaignSpec spec = tiny_spec();
+  spec.datasets = {"seeds", "redwine", "whitewine"};
+  spec.threads = 2;
+  spec.base.bespoke.share_subexpressions = true;
+  const hw::McmCacheStats before = hw::mcm_plan_cache_stats();
+  const CampaignResult result = CampaignRunner(spec).run();
+  const hw::McmCacheStats after = hw::mcm_plan_cache_stats();
+  ASSERT_EQ(result.runs.size(), 3u);
+  for (const CampaignRunResult& run : result.runs) {
+    EXPECT_GT(run.mcm_hits + run.mcm_misses, 0u) << run.dataset;
+  }
+  // Every lookup of the overlapping cells is attributed to exactly one.
+  EXPECT_EQ(result.total_mcm_hits(), after.hits - before.hits);
+  EXPECT_EQ(result.total_mcm_misses(), after.misses - before.misses);
 }
 
 }  // namespace

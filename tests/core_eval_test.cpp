@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -70,6 +71,33 @@ TEST(Eval, PipelineRejectsArityMismatch) {
   bad.sparsity_pct = {0};
   bad.clusters = {0};  // model has 2 layers
   EXPECT_THROW(proxy.evaluate(bad), std::invalid_argument);
+}
+
+TEST(Eval, SplitsAreValidatedWhereBuiltOrHandedOver) {
+  // Trainer::fit checks only shapes, so a bad row must be refused at the
+  // boundaries in front of it: the evaluator constructor and the split.
+  auto& flow = seeds_flow();
+  const EvalConfig config = flow.eval_config(1, false);
+  DataSplit ragged = flow.data();
+  ragged.train.x[3].pop_back();
+  EXPECT_THROW(ProxyEvaluator(flow.float_model(), ragged, flow.tech(), config),
+               std::invalid_argument);
+  DataSplit non_finite = flow.data();
+  non_finite.train.x[5][1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(NetlistEvaluator(flow.float_model(), non_finite, flow.tech(), config),
+               std::invalid_argument);
+  // The unmodified split passes.
+  EXPECT_NO_THROW(ProxyEvaluator(flow.float_model(), flow.data(), flow.tech(), config));
+
+  // A flow over a bad dataset fails in prepare(), before any training.
+  Dataset bad = flow.data().test;
+  bad.x[0][0] = std::numeric_limits<double>::infinity();
+  MinimizationFlow bad_flow(fast_config(), bad);
+  EXPECT_THROW(bad_flow.prepare(), std::invalid_argument);
+  bad.x[0][0] = 0.5;
+  bad.x[1].push_back(0.5);
+  MinimizationFlow ragged_flow(fast_config(), bad);
+  EXPECT_THROW(ragged_flow.prepare(), std::invalid_argument);
 }
 
 TEST(Eval, ProxyMatchesFlowEvaluateGenome) {

@@ -1,8 +1,9 @@
 /// Sanitizer-targeted stress tests: deliberately racy schedules over the
 /// concurrency surfaces (Batcher admission/drain/shutdown, Server
 /// hot-swap + stats under client load + teardown mid-flight, EvalStore
-/// concurrent writers) so TSan gets real interleavings to judge and
-/// ASan sees the teardown paths under churn.
+/// concurrent writers, nested parallel_for on one ThreadPool) so TSan
+/// gets real interleavings to judge and ASan sees the teardown paths
+/// under churn.
 ///
 /// In a plain build these schedules add nothing the functional suites
 /// don't already cover, so the whole file skips with a note — the
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "pnm/serve/server.hpp"
 #include "pnm/util/build_info.hpp"
 #include "pnm/util/rng.hpp"
+#include "pnm/util/thread_pool.hpp"
 
 namespace pnm {
 namespace {
@@ -202,6 +205,53 @@ TEST(SanitizeStress, EvalStoreConcurrentWritersAndReaders) {
 
   EXPECT_EQ(store.size(), static_cast<std::size_t>(kWriters * kPerWriter));
   std::filesystem::remove_all(dir);
+}
+
+// Nested parallel_for on one pool, the shape a concurrent campaign runs:
+// outer cells outnumbering the workers, each fanning several inner
+// batches over the same workers, plus a second external caller opening
+// batches meanwhile and an inner batch that throws.  Waiting callers run
+// other batches' iterations, so TSan judges the batch list, the cursors,
+// the completion wake-ups and results written from whichever thread ran
+// an iteration.
+TEST(SanitizeStress, NestedParallelForOnOnePool) {
+  PNM_REQUIRE_SANITIZER();
+  ThreadPool pool(3);
+  constexpr std::size_t kOuter = 6;
+  constexpr std::size_t kInner = 24;
+  constexpr int kRounds = 4;
+  std::vector<std::vector<std::size_t>> results(kOuter, std::vector<std::size_t>(kInner));
+  std::atomic<int> failures_seen{0};
+  std::atomic<bool> stop{false};
+  std::atomic<long> side_sum{0};
+  std::thread side([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      pool.parallel_for(8, [&](std::size_t i) { side_sum.fetch_add(static_cast<long>(i)); });
+    }
+  });
+  pool.parallel_for(kOuter, [&](std::size_t o) {
+    for (int round = 0; round < kRounds; ++round) {
+      pool.parallel_for(kInner, [&, o, round](std::size_t i) {
+        results[o][i] += o * 1000 + i + static_cast<std::size_t>(round);
+      });
+      try {
+        pool.parallel_for(kInner, [&, o](std::size_t i) {
+          if (o % 2 == 0 && i == kInner - 1) throw std::runtime_error("inner");
+        });
+      } catch (const std::runtime_error&) {
+        failures_seen.fetch_add(1);
+      }
+    }
+  });
+  stop = true;
+  side.join();
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    for (std::size_t i = 0; i < kInner; ++i) {
+      EXPECT_EQ(results[o][i], kRounds * (o * 1000 + i) + 6) << o << "," << i;
+    }
+  }
+  EXPECT_EQ(failures_seen.load(), static_cast<int>(kOuter / 2) * kRounds);
+  EXPECT_EQ(side_sum.load() % 28, 0);
 }
 
 }  // namespace

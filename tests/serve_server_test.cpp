@@ -366,6 +366,41 @@ TEST(ServeServer, UnknownFrameTypeGetsErrorAndDisconnect) {
   server.stop();
 }
 
+TEST(ServeServer, FramesBehindAMalformedPredictAreNotServed) {
+  Server server({}, {make_model(9), 0, "", ""});
+  server.start();
+
+  // One write: a kPredict frame too short to hold an id and a count,
+  // then five valid predicts.  The connection is refused at the first
+  // frame; the five behind it must be neither admitted nor counted as a
+  // truncated frame.
+  std::vector<std::uint8_t> raw;
+  append_u32(raw, 3);
+  raw.push_back(static_cast<std::uint8_t>(FrameType::kPredict));
+  raw.push_back(0);
+  raw.push_back(0);
+  const auto samples = make_samples(5, 6, 19);
+  for (std::uint32_t i = 0; i < 5; ++i) encode_predict(raw, i, samples[i]);
+
+  ServeClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.send_raw(raw.data(), raw.size()));
+  ClientFrame frame;
+  ASSERT_TRUE(client.read_frame(frame));
+  EXPECT_EQ(frame.type, FrameType::kError);
+  EXPECT_FALSE(client.read_frame(frame, 2000));  // then the server closes
+  ASSERT_TRUE(wait_for_stats(
+      server, [](const MetricsSnapshot& s) { return s.connections_closed == 1; }));
+
+  const MetricsSnapshot stats = server.stats();
+  EXPECT_EQ(stats.protocol_errors, 1U);
+  EXPECT_EQ(stats.requests_total, 0U);
+  EXPECT_EQ(stats.responses_total, 0U);
+  EXPECT_EQ(stats.dropped_responses, 0U);
+  EXPECT_EQ(stats.truncated_frames, 0U);
+  server.stop();
+}
+
 TEST(ServeServer, FeatureWidthMismatchIsAnErrorNotACrash) {
   Server server({}, {make_model(9), 0, "", ""});  // expects 6 features
   server.start();

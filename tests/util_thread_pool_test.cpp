@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -107,6 +108,134 @@ TEST(ThreadPool, ParallelForBalancesUnevenWork) {
     done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 8);
+}
+
+/// Outer parallel_for over more items than workers, each item running an
+/// inner parallel_for on the same pool: every (outer, inner) pair must run
+/// exactly once.
+void expect_nested_runs_each_once(std::size_t workers) {
+  ThreadPool pool(workers);
+  constexpr std::size_t kOuter = 7;
+  constexpr std::size_t kInner = 23;
+  std::vector<std::atomic<int>> counts(kOuter * kInner);
+  pool.parallel_for(kOuter, [&](std::size_t o) {
+    pool.parallel_for(kInner, [&, o](std::size_t i) { counts[o * kInner + i].fetch_add(1); });
+  });
+  for (std::size_t k = 0; k < counts.size(); ++k) EXPECT_EQ(counts[k].load(), 1) << k;
+}
+
+TEST(ThreadPool, NestedParallelForOnOneWorker) { expect_nested_runs_each_once(1); }
+
+TEST(ThreadPool, NestedParallelForOnThreeWorkers) { expect_nested_runs_each_once(3); }
+
+TEST(ThreadPool, InnerExceptionReachesItsOwnCaller) {
+  ThreadPool pool(3);
+  constexpr std::size_t kOuter = 6;
+  std::vector<std::string> caught(kOuter);
+  std::atomic<int> inner_ran{0};
+  pool.parallel_for(kOuter, [&](std::size_t o) {
+    try {
+      pool.parallel_for(16, [&, o](std::size_t i) {
+        if (o == 2 && i == 5) throw std::runtime_error("inner of 2");
+        inner_ran.fetch_add(1);
+      });
+    } catch (const std::runtime_error& e) {
+      caught[o] = e.what();
+    }
+  });
+  // Only outer item 2's inner batch failed, and only its caller saw it,
+  // even though other threads may have run that batch's iterations.
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    EXPECT_EQ(caught[o], o == 2 ? "inner of 2" : "") << o;
+  }
+  EXPECT_GE(inner_ran.load(), static_cast<int>((kOuter - 1) * 16));
+
+  // An uncaught inner exception propagates through the outer batch too.
+  EXPECT_THROW(pool.parallel_for(kOuter,
+                                 [&](std::size_t o) {
+                                   pool.parallel_for(4, [o](std::size_t i) {
+                                     if (o == 3 && i == 1) throw std::logic_error("deep");
+                                   });
+                                 }),
+               std::logic_error);
+}
+
+TEST(ThreadPool, NoThreadEntersASecondOuterBodyWhileInsideOne) {
+  // Two outer batches share one pool.  The first is opened from another
+  // thread; the second opens once the first's bodies are inside their
+  // inner batches, whose iterations the spare worker also takes.  The
+  // first's bodies then wait on those iterations while the second still
+  // has unclaimed outer items: they may help with inner work only.
+  ThreadPool pool(2);
+  thread_local int in_outer = 0;
+  std::atomic<int> violations{0};
+  std::atomic<int> inner_started{0};
+  std::atomic<int> inner_done{0};
+  constexpr std::size_t kInner = 8;
+  const auto outer_body = [&](std::size_t) {
+    if (in_outer != 0) violations.fetch_add(1);
+    ++in_outer;
+    pool.parallel_for(kInner, [&](std::size_t) {
+      inner_started.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      inner_done.fetch_add(1);
+    });
+    --in_outer;
+  };
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    inner_started = 0;
+    std::thread first([&] { pool.parallel_for(2, outer_body); });
+    while (inner_started.load() < 2) std::this_thread::yield();
+    pool.parallel_for(6, outer_body);
+    first.join();
+  }
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(inner_done.load(), static_cast<int>(kRounds * 8 * kInner));
+}
+
+TEST(ThreadPool, WaitingCallerRunsAnotherBatchInsteadOfParking) {
+  // The only worker is held inside an iteration of the main thread's
+  // batch until a second batch, opened by another thread, completes.  That
+  // opener holds its own first iteration until some other thread runs one
+  // of its iterations, which only the waiting main thread is free to do.
+  ThreadPool pool(1);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto wait_for = [&](const std::atomic<bool>& flag) {
+    while (!flag && std::chrono::steady_clock::now() < deadline) std::this_thread::yield();
+  };
+  const std::thread::id main_id = std::this_thread::get_id();
+  std::atomic<bool> worker_held{false};
+  std::atomic<bool> helped{false};
+  std::atomic<bool> second_done{false};
+  std::atomic<bool> helper_was_main{false};
+
+  std::thread opener([&] {
+    wait_for(worker_held);
+    const std::thread::id opener_id = std::this_thread::get_id();
+    pool.parallel_for(2, [&](std::size_t) {
+      if (std::this_thread::get_id() == opener_id) {
+        wait_for(helped);
+      } else {
+        helper_was_main = std::this_thread::get_id() == main_id;
+        helped = true;
+      }
+    });
+    second_done = true;
+  });
+  pool.parallel_for(2, [&](std::size_t) {
+    if (std::this_thread::get_id() == main_id) {
+      wait_for(worker_held);  // so the worker claims the other iteration
+    } else {
+      worker_held = true;
+      wait_for(second_done);
+    }
+  });
+  opener.join();
+  EXPECT_TRUE(second_done.load());
+  EXPECT_TRUE(helped.load());
+  EXPECT_TRUE(helper_was_main.load());
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline);
 }
 
 }  // namespace
